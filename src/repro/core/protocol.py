@@ -68,6 +68,9 @@ class Protocol:
         object.__setattr__(self, "g1", _as_probability_vector(self.g1, self.ell, "g1"))
         self.g0.setflags(write=False)
         self.g1.setflags(write=False)
+        # The Bernstein basis of Eq. 4 depends on ell only: build it once
+        # instead of on every response evaluation.
+        object.__setattr__(self, "_basis", _bernstein_basis(self.ell))
 
     # ------------------------------------------------------------------
     # Structural properties
@@ -116,9 +119,9 @@ class Protocol:
         response vector.  Vectorized over ``p``.
         """
         p_array = np.asarray(p, dtype=float)
-        if np.any(p_array < 0) or np.any(p_array > 1):
+        if ((p_array < 0) | (p_array > 1)).any():
             raise ValueError("fractions p must lie in [0, 1]")
-        weights = _binomial_weights(self.ell, p_array)
+        weights = _binomial_weights(self.ell, p_array, self._basis)
         p0 = weights @ self.g0
         p1 = weights @ self.g1
         if np.isscalar(p) or p_array.ndim == 0:
@@ -145,26 +148,34 @@ class Protocol:
 _DIRECT_BINOMIAL_MAX_ELL = 256
 
 
-def _binomial_weights(ell: int, p: np.ndarray) -> np.ndarray:
+def _bernstein_basis(ell: int):
+    """``(C(ell, k), k, ell - k)`` for the closed form, or None past the cutoff."""
+    if ell > _DIRECT_BINOMIAL_MAX_ELL:
+        return None
+    k = np.arange(ell + 1)
+    return _binomial_coefficients(ell), k, ell - k
+
+
+def _binomial_weights(ell: int, p: np.ndarray, basis) -> np.ndarray:
     """Binomial(ell, p) pmf over k = 0..ell, vectorized over p.
 
     Returns an array of shape ``p.shape + (ell + 1,)``.  Computed from the
-    closed form for the small/constant ``ell`` of the lower bound, and in
-    log space for the large ``ell = Theta(sqrt(n log n))`` of the [15]
-    regime (where ``C(ell, k)`` overflows float64 past ``ell ~ 1000``).
+    closed form (``basis`` is :func:`_bernstein_basis` of ``ell``) for the
+    small/constant ``ell`` of the lower bound, and in log space for the
+    large ``ell = Theta(sqrt(n log n))`` of the [15] regime (where
+    ``C(ell, k)`` overflows float64 past ``ell ~ 1000``).
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    k = np.arange(ell + 1)
-    if ell <= _DIRECT_BINOMIAL_MAX_ELL:
-        coefficients = _binomial_coefficients(ell)
+    if basis is not None:
+        coefficients, k, rest = basis
         return (
             coefficients
             * np.power(p[..., None], k)
-            * np.power(1.0 - p[..., None], ell - k)
+            * np.power(1.0 - p[..., None], rest)
         )
     from scipy.stats import binom
 
-    return binom.pmf(k, ell, p[..., None])
+    return binom.pmf(np.arange(ell + 1), ell, p[..., None])
 
 
 def _binomial_coefficients(ell: int) -> np.ndarray:

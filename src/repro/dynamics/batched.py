@@ -2,8 +2,11 @@
 
 On the complete graph the paper's dynamics collapse to the count chain
 (:mod:`repro.dynamics.engine`), so an ensemble of ``R`` replicas is just a
-length-``R`` integer vector and one lock-step round is two vectorized
-binomial draws.  The subtlety is reproducibility: a single shared
+length-``R`` integer vector and one lock-step round is
+``z + Bin(m1, P1) + Bin(m0, P0)`` per replica (Prop 5) — one
+:func:`counter_uniforms` call for draws 0 and 1 and one
+:func:`binomial_icdf` call over the ``2R`` stacked binomials
+(:func:`binomial_pair`).  The subtlety is reproducibility: a single shared
 ``Generator`` (the legacy ``lockstep`` engine) makes every replica's stream
 depend on *which other replicas are in the batch and when they converge*.
 This engine instead gives each replica its own **counter-based stream**:
@@ -45,7 +48,7 @@ array([5])
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import special
@@ -64,6 +67,7 @@ __all__ = [
     "replica_keys",
     "counter_uniforms",
     "binomial_icdf",
+    "binomial_pair",
     "step_count_keyed",
     "step_counts_keyed",
 ]
@@ -86,6 +90,8 @@ _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
+# Shift counts as uint64 scalars, built once rather than on every hash.
+_S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -161,9 +167,9 @@ def replica_keys(seed: SeedLike, replicas: int) -> np.ndarray:
 def _mix(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer (wrapping uint64 arithmetic)."""
     x = x + _GOLDEN
-    x = (x ^ (x >> _U64(30))) * _MIX_1
-    x = (x ^ (x >> _U64(27))) * _MIX_2
-    return x ^ (x >> _U64(31))
+    x = (x ^ (x >> _S30)) * _MIX_1
+    x = (x ^ (x >> _S27)) * _MIX_2
+    return x ^ (x >> _S31)
 
 
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
@@ -190,7 +196,10 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
 
 
 def counter_uniforms(
-    keys: np.ndarray, t: int, draw: int, use_numba: bool = False
+    keys: np.ndarray,
+    t: int,
+    draw: Union[int, Sequence[int]],
+    use_numba: bool = False,
 ) -> np.ndarray:
     """One double in ``[0, 1)`` per key for counter ``(round t, draw)``.
 
@@ -198,10 +207,14 @@ def counter_uniforms(
     forever, so a replica's whole stream is addressable without replaying
     earlier rounds — the property checkpoint resume and the loop engine
     lean on.  ``draw`` separates the independent variates a single round
-    needs (0: ones kept, 1: zeros flipped).
+    needs (0: ones kept, 1: zeros flipped; scenarios add 2 and 3).  A
+    sequence of draw indices hashes them in one call and returns one row
+    per draw — row ``i`` is bit-for-bit ``counter_uniforms(keys, t,
+    draw[i])``.
 
-    With ``use_numba=True`` (and numba importable) the hash runs jitted;
-    the integer pipeline is identical, so the bits are too.
+    With ``use_numba=True`` (and numba importable) the hash runs jitted,
+    one jit call per draw; the integer pipeline is identical, so the bits
+    are too.
 
     >>> import numpy as np
     >>> keys = replica_keys(0, 2)
@@ -209,14 +222,22 @@ def counter_uniforms(
     True
     >>> np.array_equal(counter_uniforms(keys, 3, 0), counter_uniforms(keys, 3, 1))
     False
+    >>> rows = counter_uniforms(keys, 3, (0, 1))
+    >>> rows.shape
+    (2, 2)
+    >>> np.array_equal(rows[1], counter_uniforms(keys, 3, 1))
+    True
     """
     keys = np.asarray(keys, dtype=np.uint64)
+    draws = np.asarray(draw, dtype=np.uint64)
     if use_numba and HAVE_NUMBA:  # pragma: no cover - needs numba installed
-        return _uniforms_jit(keys, np.uint64(t), np.uint64(draw))
+        if draws.ndim:
+            return np.stack([_uniforms_jit(keys, np.uint64(t), d) for d in draws])
+        return _uniforms_jit(keys, np.uint64(t), draws[()])
     with np.errstate(over="ignore"):
-        counter = _mix(_U64(t) * _GOLDEN + _U64(draw))
-        h = _mix(keys ^ counter)
-    return (h >> _U64(11)).astype(np.float64) * (2.0 ** -53)
+        counter = _mix(_U64(t) * _GOLDEN + draws)
+        h = _mix(keys ^ counter[..., None])
+    return (h >> _S11).astype(np.float64) * (2.0 ** -53)
 
 
 def binomial_icdf(u: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -236,28 +257,40 @@ def binomial_icdf(u: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     returns 0, ``p >= 1`` returns ``m``, and ``p <= 0`` or ``m == 0``
     return 0 — each is the literal ``min {k : CDF(k) >= u}``.
 
+    Inputs of any broadcastable shape (scalars included) are flattened on
+    entry and the result takes their broadcast shape.
+
     >>> import numpy as np
     >>> binomial_icdf(np.array([0.0, 0.5, 1 - 2**-53]), np.array([8, 8, 8]),
     ...               np.array([0.3, 0.3, 0.3]))
     array([0, 2, 8])
+    >>> int(binomial_icdf(0.999, 10, 0.5))
+    9
     """
     u = np.asarray(u, dtype=np.float64)
     m = np.asarray(m, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
-    u, m, p = np.broadcast_arrays(u, m, p)
+    if not u.shape == m.shape == p.shape:
+        u, m, p = np.broadcast_arrays(u, m, p)
+    shape = u.shape
+    u, m, p = u.ravel(), m.ravel(), p.ravel()
     # Degenerate corners are answered directly (and masked out of the
     # general path, whose special functions would warn or loop on them).
     degenerate = (m <= 0) | (p <= 0.0) | (p >= 1.0) | (u <= 0.0)
-    m_eff = np.where(degenerate, 1, m)
-    p_eff = np.where(degenerate, 0.5, p)
-    u_eff = np.where(degenerate, 0.5, u)
+    any_degenerate = degenerate.any()
+    if any_degenerate:
+        m_eff = np.where(degenerate, 1, m)
+        p_eff = np.where(degenerate, 0.5, p)
+        u_eff = np.where(degenerate, 0.5, u)
+    else:
+        m_eff, p_eff, u_eff = m, p, u
     mf = m_eff.astype(np.float64)
     mu = mf * p_eff
     sig = np.sqrt(mu * (1.0 - p_eff))
-    z = special.ndtri(np.clip(u_eff, 1e-300, 1.0 - 2**-53))
+    z = special.ndtri(np.minimum(np.maximum(u_eff, 1e-300), 1.0 - 2**-53))
     skew = (1.0 - 2.0 * p_eff) / np.maximum(sig, 1e-300)
     k = np.floor(mu + sig * (z + skew * (z * z - 1.0) / 6.0) + 0.5)
-    k = np.clip(k, 0.0, mf).astype(np.int64)
+    k = np.minimum(np.maximum(k, 0.0), mf).astype(np.int64)
     cdf = special.bdtr(k, m_eff, p_eff)
     # Gallop up on the (rare) elements whose guess undershot: doubling
     # steps bound the loop by O(log m) subset-sized bdtr calls.
@@ -293,7 +326,40 @@ def binomial_icdf(u: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
                 special.bdtr(k[again] - 1, m_eff[again], p_eff[again])
                 >= u_eff[again]
             )
-    return np.where(degenerate, np.where((p >= 1.0) & (u > 0.0), m, 0), k)
+    if any_degenerate:
+        k = np.where(degenerate, np.where((p >= 1.0) & (u > 0.0), m, 0), k)
+    return k.reshape(shape)
+
+
+def binomial_pair(
+    keys: np.ndarray,
+    t: int,
+    m1: np.ndarray,
+    p1: np.ndarray,
+    m0: np.ndarray,
+    p0: np.ndarray,
+    use_numba: bool = False,
+) -> np.ndarray:
+    """``Bin(m1, P1) + Bin(m0, P0)`` per replica from draws 0 and 1 of round ``t``.
+
+    The protocol step of every keyed kernel (Prop 5: ones kept plus zeros
+    flipped).  Both draws are hashed by one :func:`counter_uniforms` call
+    and inverted by one :func:`binomial_icdf` call over the ``2R``
+    stacked ``[m1, m0]``, ``[P1, P0]`` and uniforms — each element's
+    arithmetic is unchanged, so the result is bit-for-bit the sum of the
+    two separate draws, at half the per-call overhead.  The clean kernel
+    (:func:`step_counts_keyed`) and the scenario kernel
+    (:func:`repro.dynamics.scenarios.scenario_step_counts`) both call it,
+    which is what keeps the ``null`` scenario bit-identical to the clean
+    engine.
+    """
+    r = len(keys)
+    m = np.empty(2 * r, dtype=np.int64)
+    m[:r], m[r:] = m1, m0
+    p = np.empty(2 * r, dtype=np.float64)
+    p[:r], p[r:] = p1, p0
+    k = binomial_icdf(counter_uniforms(keys, t, (0, 1), use_numba).ravel(), m, p)
+    return k[:r] + k[r:]
 
 
 def _step_keyed(
@@ -306,17 +372,10 @@ def _step_keyed(
     use_numba: bool = False,
 ) -> np.ndarray:
     """One keyed lock-step round; shared by the scalar and batched fronts."""
-    p = counts / n
-    p0, p1 = protocol.response_probabilities(p)
+    p0, p1 = protocol.response_probabilities(counts / n)
     m1 = counts - z
     m0 = n - counts - (1 - z)
-    ones_kept = binomial_icdf(
-        counter_uniforms(keys, t, 0, use_numba), m1, np.asarray(p1)
-    )
-    zeros_flipped = binomial_icdf(
-        counter_uniforms(keys, t, 1, use_numba), m0, np.asarray(p0)
-    )
-    return z + ones_kept + zeros_flipped
+    return z + binomial_pair(keys, t, m1, p1, m0, p0, use_numba)
 
 
 def step_counts_keyed(

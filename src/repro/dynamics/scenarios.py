@@ -24,7 +24,7 @@ that perturb one run:
 Determinism contract (the docs/ENGINES.md bit-identity contract, extended):
 scenarios draw randomness from the **same counter-based per-replica
 streams** as the clean engines — draw indices 0/1 stay reserved for the
-protocol step exactly as in :func:`repro.dynamics.batched._step_keyed`,
+protocol step through :func:`repro.dynamics.batched.binomial_pair`,
 churn arrivals claim draw index 2 and departures draw index 3.  Because
 the streams are stateless functions of ``(key, t, draw)``, a scenario that
 perturbs nothing consumes nothing, which makes the ``null`` scenario
@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import special
 
-from repro.dynamics.batched import binomial_icdf, counter_uniforms
+from repro.dynamics.batched import binomial_icdf, binomial_pair, counter_uniforms
 from repro.telemetry import NULL_RECORDER, Recorder, current_span
 
 __all__ = [
@@ -823,9 +823,10 @@ def _scenario_step(
 ) -> np.ndarray:
     """One keyed hostile-world round for a batch of replica counts.
 
-    Draw indices 0/1 are the protocol step (identical to
-    :func:`repro.dynamics.batched._step_keyed` — the null scenario is
-    bit-identical by construction); 2 is churn arrivals, 3 departures.
+    Draw indices 0/1 are the protocol step — the same
+    :func:`~repro.dynamics.batched.binomial_pair` call as the clean
+    kernel, so the null scenario is bit-identical by construction; 2 is
+    churn arrivals, 3 departures.
     """
     n_prev = scenario.population(t - 1)
     n_next = scenario.population(t)
@@ -843,9 +844,7 @@ def _scenario_step(
     p0, p1 = scenario.transform_responses(protocol, t, p, p0, p1)
     m1 = counts - pin1_prev
     m0 = n_prev - counts - pin0_prev
-    ones_kept = binomial_icdf(counter_uniforms(keys, t, 0, use_numba), m1, np.asarray(p1))
-    zeros_flipped = binomial_icdf(counter_uniforms(keys, t, 1, use_numba), m0, np.asarray(p0))
-    free_ones = ones_kept + zeros_flipped
+    free_ones = binomial_pair(keys, t, m1, p1, m0, p0, use_numba)
 
     delta = n_next - n_prev
     if delta > 0:

@@ -46,6 +46,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -104,7 +105,8 @@ class ServiceConfig:
 
     Attributes:
         workers: concurrent worker processes draining the queue.
-        poll_s: dispatch-loop wakeup interval.
+        poll_s: dispatch-loop wakeup interval while no worker runs (so
+            expiring backoffs are noticed); submissions wake it at once.
         stale_after_s: heartbeat age past which a live worker is presumed
             stuck and killed (the watchdog clock).
         dispatch_grace_s: how long a freshly dispatched worker may run
@@ -141,6 +143,11 @@ class Service:
         self._dispatched_at: Dict[str, float] = {}
         self._stale_checked_at: Dict[str, float] = {}
         self._lock = threading.RLock()
+        # Wake-up channel: submit() sends a byte so the dispatch loop's
+        # idle wait returns at once instead of at its next timeout.
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._wake_send.setblocking(False)
         self.recover()
 
     # -- recovery ---------------------------------------------------------
@@ -231,7 +238,21 @@ class Service:
             if max_retries is None
             else int(max_retries)
         )
-        return self.store.submit(spec, max_retries=budget)
+        job = self.store.submit(spec, max_retries=budget)
+        self._wake()
+        return job
+
+    def _wake(self) -> None:
+        """Signal the idle wait; never blocks an HTTP thread.
+
+        A full socket buffer means a wake-up is already pending, and a
+        closed one means the loop has stopped — either way there is
+        nothing left to signal.
+        """
+        try:
+            self._wake_send.send(b"\0")
+        except OSError:
+            pass
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a queued or active job (kills its worker if one runs)."""
@@ -383,25 +404,28 @@ class Service:
     def _idle_wait(self) -> None:
         """Sleep until there is plausibly work to do.
 
-        With live workers this blocks on their process sentinels — the
-        loop wakes *instantly* when a child exits instead of discovering
-        it up to ``poll_s`` later, and in between it only wakes at the
-        watchdog cadence.  Busy-polling here is not just latency: on a
-        single-core host every wake steals CPU from the workers
-        themselves (measured by E13f).  With no children it naps
-        ``poll_s`` so submissions and expiring backoffs stay responsive.
+        Blocks on the wake-up channel together with the live workers'
+        process sentinels — the loop wakes *instantly* when a job is
+        submitted or a child exits instead of discovering it up to a
+        timeout later, and in between it only wakes at the watchdog
+        cadence.  Busy-polling here is not just latency: on a single-core
+        host every wake steals CPU from the workers themselves (measured
+        by E13f).  With no children the timeout is ``poll_s`` so expiring
+        backoffs stay responsive.
         """
+        from multiprocessing.connection import wait
+
         with self._lock:
             sentinels = [p.sentinel for p in self._children.values()]
-        if not sentinels:
-            time.sleep(self.config.poll_s)
-            return
-        from multiprocessing.connection import wait as sentinel_wait
-
-        watchdog_cadence = max(
-            self.config.poll_s, min(1.0, self.config.stale_after_s / 4.0)
-        )
-        sentinel_wait(sentinels, timeout=watchdog_cadence)
+        timeout = self.config.poll_s
+        if sentinels:
+            timeout = max(timeout, min(1.0, self.config.stale_after_s / 4.0))
+        wait([self._wake_recv, *sentinels], timeout=timeout)
+        try:  # drain: one tick serves every submission signalled so far
+            while self._wake_recv.recv(4096):
+                pass
+        except BlockingIOError:
+            pass
 
     def drain(self, *, timeout_s: float = 60.0) -> bool:
         """Tick until no queued/active jobs remain; True if fully drained."""
@@ -450,6 +474,8 @@ class Service:
             except JobStoreError:
                 pass
             self.store.close()
+            self._wake_recv.close()
+            self._wake_send.close()
 
     # -- observability -----------------------------------------------------
 
@@ -637,8 +663,12 @@ class _Handler(BaseHTTPRequestHandler):
             if url.path == "/jobs":
                 payload = self._read_body()
                 max_retries = payload.pop("max_retries", None)
-                job = service.submit(payload, max_retries=max_retries)
-                self._send_json(201, {"job": job.to_dict()})
+                # submit() wakes the dispatch loop, whose tick takes the
+                # same lock: the 201 is written before the job can be
+                # dispatched, so a crash there never cuts off the reply.
+                with service._lock:
+                    job = service.submit(payload, max_retries=max_retries)
+                    self._send_json(201, {"job": job.to_dict()})
             elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
                 job = service.cancel(parts[1])
                 self._send_json(200, {"job": job.to_dict()})

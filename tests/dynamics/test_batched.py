@@ -18,6 +18,7 @@ import pytest
 from scipy.stats import binom, ks_2samp
 
 from repro.analysis.ensemble import convergence_ensemble
+from repro.core.protocol import Protocol
 from repro.dynamics.batched import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -33,6 +34,11 @@ from repro.dynamics.batched import (
 from repro.dynamics.config import Configuration, wrong_consensus_configuration
 from repro.dynamics.rng import make_rng, spawn_seed_sequences
 from repro.dynamics.run import simulate_ensemble
+from repro.dynamics.scenarios import (
+    hypergeometric_icdf,
+    make_scenario,
+    scenario_step_counts,
+)
 from repro.protocols import minority, voter
 
 
@@ -108,6 +114,13 @@ class TestCounterUniforms:
         full = counter_uniforms(keys, 3, 1)
         assert np.array_equal(counter_uniforms(keys[10:20], 3, 1), full[10:20])
 
+    def test_draw_sequence_rows_match_single_draws(self):
+        keys = replica_keys(4, 33)
+        rows = counter_uniforms(keys, 5, (0, 1, 2, 3))
+        assert rows.shape == (4, 33)
+        for draw in range(4):
+            assert np.array_equal(rows[draw], counter_uniforms(keys, 5, draw))
+
     def test_marginally_uniform(self):
         # One value per key: across many keys the marginal must be U[0,1).
         keys = replica_keys(3, 20_000)
@@ -157,6 +170,28 @@ class TestBinomialICDF:
                    for j in range(0, 300, 17)]
         assert full[::17].tolist() == scalars
 
+    def test_scalar_and_nd_inputs(self):
+        # Any broadcastable shape: flattened on entry, reshaped on return.
+        assert binomial_icdf(0.999, 10, 0.5).shape == ()
+        assert int(binomial_icdf(0.999, 10, 0.5)) == int(binom.ppf(0.999, 10, 0.5))
+        rng = np.random.default_rng(13)
+        m = rng.integers(1, 200, (2, 400))  # small m: the minimality pass runs
+        p = rng.uniform(1e-3, 1 - 1e-3, (2, 400))
+        u = rng.uniform(1e-12, 1.0 - 1e-12, (2, 400))
+        grid = binomial_icdf(u, m, p)
+        flat = binomial_icdf(u.ravel(), m.ravel(), p.ravel())
+        assert grid.shape == (2, 400)
+        np.testing.assert_array_equal(grid.ravel(), flat)
+        np.testing.assert_array_equal(grid, binom.ppf(u, m, p).astype(np.int64))
+        for j in range(0, 800, 53):
+            scalar = binomial_icdf(u.flat[j], m.flat[j], p.flat[j])
+            assert scalar.shape == () and int(scalar) == flat[j]
+        # Broadcasting a row of sizes against the (2, N) uniforms.
+        np.testing.assert_array_equal(
+            binomial_icdf(u, m[0], 0.3),
+            binom.ppf(u, m[0], 0.3).astype(np.int64),
+        )
+
 
 class TestBitIdentity:
     """The contract's strong tier: loop and batched share every bit."""
@@ -200,6 +235,117 @@ class TestBitIdentity:
         ]
         np.testing.assert_array_equal(results[0].times, results[1].times)
         assert all(r.failed_shards == 0 for r in results)
+
+
+def _two_call_step(protocol, n, z, counts, keys, t):
+    """The keyed round as it was before draws 0 and 1 were fused.
+
+    Two ``counter_uniforms`` calls and two ``binomial_icdf`` calls of ``R``
+    elements each; the fused kernel (one of each over ``2R``) must match
+    it bit for bit.
+    """
+    p0, p1 = protocol.response_probabilities(counts / n)
+    ones_kept = binomial_icdf(
+        counter_uniforms(keys, t, 0), counts - z, np.asarray(p1)
+    )
+    zeros_flipped = binomial_icdf(
+        counter_uniforms(keys, t, 1), n - counts - (1 - z), np.asarray(p0)
+    )
+    return z + ones_kept + zeros_flipped
+
+
+def _two_call_scenario_step(protocol, scenario, z, counts, keys, t):
+    """The hostile-world round as it was before the fusion (draws 0-3)."""
+    n_prev, n_next = scenario.population(t - 1), scenario.population(t)
+    pin1_prev, pin0_prev = scenario.pinned(t - 1, z)
+    pin1_next, _ = scenario.pinned(t, z)
+    p = counts / n_prev
+    p0, p1 = scenario.transform_responses(
+        protocol, t, p, *protocol.response_probabilities(p)
+    )
+    free_ones = binomial_icdf(
+        counter_uniforms(keys, t, 0), counts - pin1_prev, np.asarray(p1)
+    ) + binomial_icdf(
+        counter_uniforms(keys, t, 1), n_prev - counts - pin0_prev, np.asarray(p0)
+    )
+    delta = n_next - n_prev
+    if delta > 0:
+        free_ones = free_ones + binomial_icdf(
+            counter_uniforms(keys, t, 2),
+            np.full(counts.shape, delta, dtype=np.int64),
+            np.asarray(scenario.arrival_bias(t)),
+        )
+    elif delta < 0:
+        free = n_prev - pin1_prev - pin0_prev
+        free_ones = free_ones - hypergeometric_icdf(
+            counter_uniforms(keys, t, 3), free_ones, free - free_ones, -delta
+        )
+    return pin1_next + free_ones
+
+
+_RNG_TABLE = np.random.default_rng(2024)
+FUSION_PROTOCOLS = {
+    "voter": voter(1),
+    "minority-3": minority(3),
+    "random": Protocol(
+        ell=4, g0=_RNG_TABLE.random(5), g1=_RNG_TABLE.random(5), name="random"
+    ),
+    # P0 = 0 and P1 = 1 at every count: the p in {0, 1} corners everywhere.
+    "frozen": Protocol(ell=2, g0=np.zeros(3), g1=np.ones(3), name="frozen"),
+}
+FUSION_SIZES = [2, 200, 10**5, 10**6]
+FUSION_ROUNDS = (1, 8, 9, 16, 17)  # churn: steady, grow, high, shrink; flip at 16
+
+
+def _corner_counts(low: int, high: int, seed: int) -> np.ndarray:
+    """Both corners of ``[low, high]`` plus random interior counts."""
+    rng = np.random.default_rng(seed)
+    return np.r_[low, high, rng.integers(low, high + 1, 30)].astype(np.int64)
+
+
+class TestFusedKernelMatchesTwoCallStep:
+    """One hash and one inverse CDF per round change no bit of any stream."""
+
+    @pytest.mark.parametrize("n", FUSION_SIZES)
+    @pytest.mark.parametrize("name", sorted(FUSION_PROTOCOLS))
+    def test_clean_kernels(self, name, n):
+        protocol = FUSION_PROTOCOLS[name]
+        for z in (0, 1):
+            counts = _corner_counts(z, n - (1 - z), n + z)
+            keys = replica_keys(n + z, counts.size)
+            for t in FUSION_ROUNDS:
+                expected = _two_call_step(protocol, n, z, counts, keys, t)
+                batch = step_counts_keyed(protocol, n, z, counts, keys, t)
+                solo = [step_count_keyed(protocol, n, z, int(x), keys[j], t)
+                        for j, x in enumerate(counts)]
+                assert np.array_equal(batch, expected)
+                assert np.array_equal(solo, expected)
+
+    @pytest.mark.parametrize("n", FUSION_SIZES)
+    @pytest.mark.parametrize("name", sorted(FUSION_PROTOCOLS))
+    # A fixed churn amplitude keeps the departure walk short at n = 10**6
+    # (the default amplitude n // 8 makes it O(n) per round).
+    @pytest.mark.parametrize(
+        "spec", ["null", "churn:amplitude=12+lossy", "flip-source"]
+    )
+    def test_scenario_kernel(self, spec, name, n):
+        protocol = FUSION_PROTOCOLS[name]
+        scenario = make_scenario(spec, n)
+        for z in (0, 1):
+            for t in FUSION_ROUNDS:
+                pin1, pin0 = scenario.pinned(t - 1, z)
+                counts = _corner_counts(
+                    pin1, scenario.population(t - 1) - pin0, n + t
+                )
+                keys = replica_keys(n + t, counts.size)
+                expected = _two_call_scenario_step(
+                    protocol, scenario, z, counts, keys, t
+                )
+                fused = scenario_step_counts(protocol, scenario, z, counts, keys, t)
+                assert np.array_equal(fused, expected)
+                if spec == "null":
+                    clean = _two_call_step(protocol, n, z, counts, keys, t)
+                    assert np.array_equal(fused, clean)
 
 
 class TestBatchMembershipIndependence:

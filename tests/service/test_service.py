@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -283,6 +285,40 @@ class TestShutdown:
             after.shutdown()
 
 
+class TestDispatchWakeup:
+    def test_submission_wakes_the_idle_wait(self, tmp_path):
+        # One long job keeps a worker busy, so the loop blocks on its
+        # sentinel with the watchdog timeout min(1, stale_after_s / 4) =
+        # 1 s.  A submission into the free slot must not wait that out.
+        svc = Service(tmp_path / "svc", quick_config(stale_after_s=30.0))
+        long_job = svc.submit(
+            {"kind": "ensemble", "protocol": "voter", "n": 5000,
+             "replicas": 4000, "max_rounds": 10_000_000, "seed": 3,
+             "checkpoint_every": 10**9}
+        )
+        guard = SimpleNamespace(requested=False)
+        loop = threading.Thread(target=svc.run, args=(guard,), daemon=True)
+        loop.start()
+        try:
+            deadline = time.monotonic() + 30
+            while (time.monotonic() < deadline
+                   and svc.store.get(long_job.id).state == "queued"):
+                time.sleep(0.005)
+            assert svc.store.get(long_job.id).state == "running"
+            time.sleep(0.2)  # the loop is now inside its idle wait
+            job = svc.submit(dict(FAST))
+            start = time.monotonic()
+            while (time.monotonic() - start < 5
+                   and svc.store.get(job.id).state == "queued"):
+                time.sleep(0.002)
+            waited = time.monotonic() - start
+        finally:
+            guard.requested = True
+            loop.join(timeout=10)
+        assert not loop.is_alive()
+        assert waited < 0.3, f"submission sat queued for {waited:.2f}s"
+
+
 class TestHTTPAPI:
     @pytest.fixture
     def api(self, service):
@@ -393,3 +429,41 @@ class TestHTTPAPI:
         finally:
             server.stop()
             svc.shutdown()
+
+    def test_submission_is_acknowledged_before_dispatch(self, tmp_path, monkeypatch):
+        # The woken dispatch loop must not overtake the 201: a crash while
+        # dispatching would otherwise cut off the reply (the armed
+        # jobstore:mid_commit:2 service smoke).  A slow reply widens the
+        # window a racing dispatch would need.
+        from repro.service import server as server_module
+
+        events = []
+        send, dispatch = server_module._Handler._send_json, Service._dispatch
+
+        def slow_send(handler, status, payload):
+            time.sleep(0.2)
+            send(handler, status, payload)
+            events.append("replied")
+
+        def recorded_dispatch(svc, job):
+            events.append("dispatched")
+            dispatch(svc, job)
+
+        monkeypatch.setattr(server_module._Handler, "_send_json", slow_send)
+        monkeypatch.setattr(Service, "_dispatch", recorded_dispatch)
+        svc = Service(tmp_path / "svc", quick_config())
+        server = ServiceServer(svc).start()
+        guard = SimpleNamespace(requested=False)
+        loop = threading.Thread(target=svc.run, args=(guard,), daemon=True)
+        loop.start()
+        try:
+            _, created = self.post(f"{server.url}/jobs", dict(FAST))
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and "dispatched" not in events:
+                time.sleep(0.005)
+        finally:
+            guard.requested = True
+            loop.join(timeout=10)
+            server.stop()
+        assert not loop.is_alive()
+        assert events[:2] == ["replied", "dispatched"], events
