@@ -15,7 +15,8 @@ doctest:
 	    src/repro/dynamics/rng.py \
 	    src/repro/dynamics/batched.py \
 	    src/repro/execution/backoff.py \
-	    src/repro/execution/supervisor.py
+	    src/repro/execution/supervisor.py \
+	    src/repro/storage.py
 
 docs-check:
 	$(PYTHON) scripts/check_docs.py

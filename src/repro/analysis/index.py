@@ -20,11 +20,11 @@ rebuild from the CLI.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro import storage
 __all__ = [
     "INDEX_FILENAME",
     "INDEX_SCHEMA_VERSION",
@@ -65,7 +65,7 @@ def _trace_files(directory: Path) -> List[Path]:
         path
         for pattern in TRACE_GLOBS
         for path in directory.glob(pattern)
-        if not path.name.endswith(".tmp")
+        if not path.name.endswith(storage.STAGING_SUFFIX)
     ]
     return sorted(files, key=lambda path: path.name)
 
@@ -91,15 +91,8 @@ def load_trace_index(directory: Union[str, Path]) -> Dict[str, Any]:
 
 def write_trace_index(directory: Union[str, Path], index: Dict[str, Any]) -> Path:
     """Atomically publish an index document (tmp + fsync + rename)."""
-    target = index_path(directory)
-    tmp = target.with_name(target.name + ".tmp")
-    with tmp.open("w") as handle:
-        json.dump(index, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
-    return target
+    text = json.dumps(index, sort_keys=True, indent=1) + "\n"
+    return storage.publish(index_path(directory), text.encode())
 
 
 def _entry_for(path: Path, identity: Tuple[int, int]) -> Dict[str, Any]:

@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
+from repro import storage
 from repro.telemetry.heartbeat import (
     HEARTBEAT_SUFFIX,
     Heartbeat,
@@ -183,7 +184,7 @@ def discover_traces(path: Union[str, Path]) -> List[Path]:
     return sorted(
         candidate
         for candidate in candidates
-        if not candidate.name.endswith(".tmp")
+        if not candidate.name.endswith(storage.STAGING_SUFFIX)
     )
 
 
@@ -191,18 +192,18 @@ def tail_trace_round(path: Union[str, Path]) -> Optional[dict]:
     """The last ``round`` record of a trace, reading only the tail.
 
     Format is sniffed from the file's leading bytes.  JSONL traces seek to
-    the final :data:`_TAIL_BYTES` and parse backwards; columnar traces walk
-    chunk headers and decode only the last round-bearing chunk — both stay
-    O(1)-ish on a multi-gigabyte trace of a live run.  Returns ``None``
-    when no complete round record exists (empty or torn file included).
+    the final :data:`_TAIL_BYTES` and parse backwards (constant cost);
+    columnar traces are walked forward, CRC-checking every chunk, and only
+    the last round-bearing chunk is decoded (linear in the file size).
+    ``None`` when no complete round record exists (empty or torn file too).
     """
     path = Path(path)
     try:
-        with path.open("rb") as handle:
-            if handle.read(len(COLUMNAR_MAGIC)) == COLUMNAR_MAGIC:
-                from repro.telemetry.columnar import columnar_tail_round
+        if storage.has_magic(path, COLUMNAR_MAGIC):
+            from repro.telemetry.columnar import columnar_tail_round
 
-                return columnar_tail_round(path)
+            return columnar_tail_round(path)
+        with path.open("rb") as handle:
             handle.seek(0, 2)
             size = handle.tell()
             handle.seek(max(0, size - _TAIL_BYTES))

@@ -622,9 +622,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 def _cmd_trace_validate(args: argparse.Namespace) -> int:
     """Schema-check a trace; with --salvage, recover its valid prefix."""
     import collections
-    import json
-    import pathlib
 
+    from repro.telemetry.columnar import write_trace_records
     from repro.telemetry.jsonl import validate_trace
 
     try:
@@ -639,11 +638,8 @@ def _cmd_trace_validate(args: argparse.Namespace) -> int:
         print(f"{kind}={kinds[kind]}")
     print(f"complete={str(kinds.get('run_end', 0) == 1).lower()}")
     if args.output:
-        output = pathlib.Path(args.output)
-        with output.open("w") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        print(f"wrote {len(records)} records to {output}", file=sys.stderr)
+        write_trace_records(args.output, records)
+        print(f"wrote {len(records)} records to {args.output}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -9,10 +9,10 @@ Restoring the bit-generator state is what makes resume determinism a
 testable property rather than an aspiration — the resumed process replays
 the very random stream the killed one would have drawn.
 
-Writes are atomic: the document is written to ``<path>.tmp``, flushed and
-fsynced, then renamed over ``path`` (``os.replace``), so a reader never
-observes a half-written checkpoint — a crash mid-write leaves the previous
-checkpoint intact.  Both sides of the rename carry crashpoints
+Writes are atomic (:func:`repro.storage.publish`): the document is
+written to ``<path>.tmp``, fsynced, then renamed over ``path``, so a
+reader never observes a half-written checkpoint — a crash mid-write
+leaves the previous checkpoint intact.  Both sides of the rename carry crashpoints
 (``checkpoint:after_tmp_write``, ``checkpoint:after_rename``) so that
 exactly this window is exercised by the fault-injection suite.
 
@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
+from repro import storage
 from repro.execution import faults
 from repro.telemetry.recorder import protocol_fingerprint
 
@@ -193,16 +193,12 @@ class CheckpointState:
 
 def save_checkpoint(path: Union[str, Path], state: CheckpointState) -> None:
     """Atomically persist ``state`` at ``path`` (write tmp, fsync, rename)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as handle:
-        handle.write(state.to_json() + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    # The window the fault-injection suite aims at: tmp durable, rename
-    # pending.  A kill here must leave the previous checkpoint readable.
-    faults.crashpoint("checkpoint:after_tmp_write")
-    os.replace(tmp, path)
+    storage.publish(
+        path, (state.to_json() + "\n").encode(),
+        # The window the fault-injection suite aims at: tmp durable, rename
+        # pending.  A kill here must leave the previous checkpoint readable.
+        before_rename="checkpoint:after_tmp_write",
+    )
     faults.crashpoint("checkpoint:after_rename")
 
 

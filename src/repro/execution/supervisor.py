@@ -63,6 +63,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro import storage
 from repro.dynamics.rng import spawn_rngs
 from repro.execution import faults
 from repro.execution.backoff import backoff_delay_s
@@ -388,12 +389,8 @@ def _shard_worker(task: _ShardTask) -> None:
     finally:
         if trace is not None:
             trace.close()
-    target = Path(task.times_path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(
-        json.dumps({"shard": task.index, "times": encode_times(times)}) + "\n"
-    )
-    os.replace(tmp, target)
+    document = json.dumps({"shard": task.index, "times": encode_times(times)})
+    storage.publish(task.times_path, (document + "\n").encode())
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,12 @@ at least as advanced as anything the service has acknowledged.  Restarting
 after a crash — mid-append, mid-compaction, ``kill -9`` — replays the
 journal back to exactly the acknowledged state:
 
-- **Framing** mirrors the columnar trace container
-  (:mod:`repro.telemetry.columnar`): each record is
-  ``b"RJNL" | body_len:u32 | body(JSON) | crc32(body):u32 | rec_len:u32``,
-  little-endian.  A torn final record (crash mid-``write``) fails its
-  length or CRC check and is salvaged away — the journal is truncated to
-  the longest valid prefix on the next open, and every complete record
-  survives.
+- **Framing** is the :mod:`repro.storage` frame with magic ``RJNL``, one
+  JSON record per frame.  A torn final record (crash mid-``write``) fails
+  its length or CRC check; the next read-write open truncates that torn
+  *tail* (no complete frame follows the break, so nothing acknowledged).
+  Damage followed by valid records is refused with :class:`JobStoreError`
+  and the file left untouched: cutting it would drop acknowledged jobs.
 - **Commits** are atomic at the record level: the frame is written in one
   ``write`` call, flushed, and ``fsync``'d before the transition is
   applied in memory or acknowledged to a client.
@@ -54,15 +53,13 @@ glance, never silently folded into ``running``.
 from __future__ import annotations
 
 import json
-import os
-import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
+from repro import storage
 from repro.execution import faults
 
 __all__ = [
@@ -76,8 +73,6 @@ __all__ = [
     "Job",
     "JobStore",
     "load_jobs",
-    "frame_record",
-    "iter_journal_records",
 ]
 
 JOBSTORE_SCHEMA_VERSION = 1
@@ -108,10 +103,6 @@ LEGAL_TRANSITIONS: Dict[str, frozenset] = {
     "cancelled": frozenset(),
 }
 
-_U32 = struct.Struct("<I")
-_HEAD_LEN = len(JOURNAL_MAGIC) + _U32.size          # magic + body_len
-_TAIL_LEN = 2 * _U32.size                            # crc32 + rec_len
-
 #: Job fields a transition record may update (beyond ``state``).
 _MUTABLE_FIELDS = frozenset({
     "attempt", "retries", "max_retries", "not_before", "backoff_s",
@@ -121,75 +112,6 @@ _MUTABLE_FIELDS = frozenset({
 
 class JobStoreError(RuntimeError):
     """Raised for corrupt-beyond-salvage or version-skewed store files."""
-
-
-# ---------------------------------------------------------------------------
-# Journal framing
-
-
-def frame_record(body: bytes) -> bytes:
-    """Frame one journal record: magic, length, body, CRC, total length."""
-    rec_len = _HEAD_LEN + len(body) + _TAIL_LEN
-    return b"".join((
-        JOURNAL_MAGIC,
-        _U32.pack(len(body)),
-        body,
-        _U32.pack(zlib.crc32(body) & 0xFFFFFFFF),
-        _U32.pack(rec_len),
-    ))
-
-
-def iter_journal_records(data: bytes) -> Iterator[Tuple[Dict[str, Any], int]]:
-    """Yield ``(record, end_offset)`` for the longest valid journal prefix.
-
-    Walks frames from offset 0; stops at the first torn or corrupt frame
-    (truncated header/body, bad CRC, unparseable JSON) — that is the
-    salvage boundary, exactly the ``telemetry.columnar`` idiom.  A frame
-    whose magic is wrong at offset 0 means the file is not a journal at
-    all and raises :class:`JobStoreError`; mid-file it ends the walk like
-    any other torn tail.  A *valid* frame whose record declares a newer
-    ``schema`` raises :class:`JobStoreError`: version skew must refuse,
-    never silently drop job state.
-    """
-    size = len(data)
-    pos = 0
-    while pos < size:
-        if size - pos < _HEAD_LEN:
-            return  # torn header
-        magic = bytes(data[pos:pos + len(JOURNAL_MAGIC)])
-        if magic != JOURNAL_MAGIC:
-            if pos == 0:
-                raise JobStoreError(
-                    f"not a job journal: bad magic {magic!r} at offset 0 "
-                    f"(expected {JOURNAL_MAGIC!r})"
-                )
-            return  # garbage tail
-        (body_len,) = _U32.unpack(data[pos + len(JOURNAL_MAGIC):pos + _HEAD_LEN])
-        end = pos + _HEAD_LEN + body_len + _TAIL_LEN
-        if end > size:
-            return  # torn body/tail
-        body = bytes(data[pos + _HEAD_LEN:pos + _HEAD_LEN + body_len])
-        stored_crc, stored_len = struct.unpack(
-            "<II", data[pos + _HEAD_LEN + body_len:end]
-        )
-        if stored_crc != (zlib.crc32(body) & 0xFFFFFFFF) or stored_len != end - pos:
-            return  # corrupt record: salvage boundary
-        try:
-            record = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return
-        if not isinstance(record, dict):
-            return
-        schema = record.get("schema")
-        if schema != JOBSTORE_SCHEMA_VERSION:
-            raise JobStoreError(
-                f"job journal record schema v{schema!r} is not supported by "
-                f"this build (expected v{JOBSTORE_SCHEMA_VERSION}); refusing "
-                f"to replay — upgrade repro, or move the journal aside to "
-                f"start fresh"
-            )
-        yield record, end
-        pos = end
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +220,7 @@ class JobStore:
         self._jobs: Dict[str, Job] = {}
         self._seq = 0
         self._next_job = 1
-        self._handle = None
+        self._journal: Optional[storage.Stream] = None
         self.salvaged_bytes = 0
         self.replay_skipped = 0
         if not self.readonly:
@@ -306,7 +228,7 @@ class JobStore:
         self._load_snapshot()
         self._replay_journal()
         if not self.readonly:
-            self._handle = open(self.journal_path, "ab")
+            self._journal = self._open_journal()
 
     # -- paths ------------------------------------------------------------
 
@@ -350,24 +272,48 @@ class JobStore:
             self._jobs[job_id] = Job.from_dict(doc)
 
     def _replay_journal(self) -> None:
+        """Replay the longest valid prefix; cut a torn tail, refuse other damage."""
         try:
             data = self.journal_path.read_bytes()
         except FileNotFoundError:
             return
-        valid_end = 0
-        for record, end in iter_journal_records(data):
+        head = data[:len(JOURNAL_MAGIC)]
+        if not JOURNAL_MAGIC.startswith(head):
+            raise JobStoreError(
+                f"not a job journal: bad magic {head!r} at offset 0 "
+                f"(expected {JOURNAL_MAGIC!r})"
+            )
+        frames = storage.FrameScan(data, JOURNAL_MAGIC)
+        for body in frames:
+            try:
+                record = json.loads(body.decode("utf-8"))
+            except ValueError:
+                break
+            if not isinstance(record, dict):
+                break
+            schema = record.get("schema")
+            if schema != JOBSTORE_SCHEMA_VERSION:
+                raise JobStoreError(
+                    f"job journal record schema v{schema!r} is not supported "
+                    f"by this build (expected v{JOBSTORE_SCHEMA_VERSION}); "
+                    f"refusing to replay — upgrade repro, or move the journal "
+                    f"aside to start fresh"
+                )
             self._apply(record, strict=False)
-            valid_end = end
-        if valid_end < len(data):
-            self.salvaged_bytes = len(data) - valid_end
-            if not self.readonly:
-                # Durable salvage: truncate the torn tail so the next append
-                # starts on a record boundary (the torn bytes are by
-                # definition unacknowledged, so nothing is lost).
-                with open(self.journal_path, "r+b") as handle:
-                    handle.truncate(valid_end)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+        self.salvaged_bytes = len(data) - frames.end
+        if self.readonly or not self.salvaged_bytes:
+            return
+        later = frames.next_frame()
+        if later is not None:
+            raise JobStoreError(
+                f"job journal {self.journal_path} is damaged at byte "
+                f"{frames.end}, but a valid record follows at byte {later}; "
+                f"refusing to truncate acknowledged jobs — repair or move "
+                f"the journal aside (load_jobs reads the valid prefix)"
+            )
+        # No complete record follows the break, so none of the torn bytes
+        # was acknowledged; the next append starts on a record boundary.
+        storage.truncate(self.journal_path, frames.end)
 
     # -- record application ----------------------------------------------
 
@@ -435,23 +381,19 @@ class JobStore:
 
     # -- the committed write path ----------------------------------------
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        if self.readonly or self._handle is None:
-            raise JobStoreError("job store opened read-only")
-        frame = frame_record(
-            json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    def _open_journal(self) -> storage.Stream:
+        # The jobstore:mid_commit crashpoint tears an append in half;
+        # restart must salvage the torn tail and keep every earlier commit.
+        return storage.Stream(
+            self.journal_path, "jobstore:mid_commit", staged=False
         )
-        if faults.should_trip("jobstore:mid_commit"):
-            # Deterministic torn commit: half the frame reaches the disk,
-            # then the process dies.  Restart must salvage the torn tail
-            # and recover every previously committed record.
-            self._handle.write(frame[: len(frame) // 2])
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            faults.trip("jobstore:mid_commit")
-        self._handle.write(frame)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+
+    def _append(self, record: Dict[str, Any]) -> None:
+        if self.readonly or self._journal is None:
+            raise JobStoreError("job store opened read-only")
+        body = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+        self._journal.write(storage.frame(JOURNAL_MAGIC, body))
+        self._journal.sync()
 
     def _commit(self, job_id: str, to: str, at: float, fields: Dict[str, Any]) -> Job:
         record = {
@@ -536,7 +478,7 @@ class JobStore:
     # -- compaction -------------------------------------------------------
 
     def _maybe_compact(self) -> None:
-        if self._handle is None:
+        if self._journal is None:
             return
         try:
             size = self.journal_path.stat().st_size
@@ -555,7 +497,7 @@ class JobStore:
         number, so no state is lost or duplicated.
         """
         with self._lock:
-            if self.readonly or self._handle is None:
+            if self.readonly or self._journal is None:
                 raise JobStoreError("job store opened read-only")
             snapshot = {
                 "schema": JOBSTORE_SCHEMA_VERSION,
@@ -563,26 +505,18 @@ class JobStore:
                 "next_job": self._next_job,
                 "jobs": {job_id: job.to_dict() for job_id, job in self._jobs.items()},
             }
-            tmp = self.snapshot_path.with_suffix(".json.tmp")
-            with open(tmp, "w") as handle:
-                json.dump(snapshot, handle, sort_keys=True, indent=None)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.snapshot_path)
+            text = json.dumps(snapshot, sort_keys=True)
+            storage.publish(self.snapshot_path, text.encode())
             faults.crashpoint("jobstore:mid_compact")
-            self._handle.close()
-            jtmp = self.journal_path.with_suffix(".journal.tmp")
-            with open(jtmp, "wb") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(jtmp, self.journal_path)
-            self._handle = open(self.journal_path, "ab")
+            self._journal.close()
+            storage.publish(self.journal_path)
+            self._journal = self._open_journal()
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
     def __enter__(self) -> "JobStore":
         return self

@@ -34,6 +34,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro import storage
 __all__ = [
     "RESULT_NAME",
     "SpecError",
@@ -258,16 +259,6 @@ def execute_job(spec: Dict[str, Any], jobdir, *, attempt: int = 1) -> Dict[str, 
             trace_writer.close()
 
 
-def _publish_result(jobdir: Path, payload: Dict[str, Any]) -> None:
-    target = result_path(jobdir)
-    tmp = target.with_suffix(".json.tmp")
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
-
-
 def job_worker_main(spec: Dict[str, Any], jobdir: str, attempt: int) -> None:
     """Child-process entry point: run the attempt, publish, exit by taxonomy.
 
@@ -285,7 +276,8 @@ def job_worker_main(spec: Dict[str, Any], jobdir: str, attempt: int) -> None:
     faults.reset()
     try:
         payload = execute_job(spec, jobdir, attempt=attempt)
-        _publish_result(Path(jobdir), payload)
+        text = json.dumps(payload, sort_keys=True)
+        storage.publish(result_path(Path(jobdir)), text.encode())
     except Exception as exc:  # the exit code *is* the error channel
         print(f"repro-service worker: {exc}", file=sys.stderr)
         sys.stderr.flush()

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, List, Mapping, Optional, Tuple, Union
 
+from repro import storage
 from repro.execution import faults
 from repro.telemetry.recorder import Recorder, RunProvenance
 from repro.telemetry.resources import sample_resources
@@ -128,17 +129,11 @@ def write_heartbeat(path: Union[str, Path], heartbeat: Heartbeat) -> Path:
     dies — the one way a reader can ever meet a torn heartbeat, kept
     deliberately reachable so salvage tolerance stays proven.
     """
-    path = Path(path)
     payload = json.dumps(heartbeat.to_dict(), sort_keys=True) + "\n"
     torn = faults.should_trip("heartbeat:mid_write")
     if torn:
         payload = payload[: len(payload) // 2]
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    path = storage.publish(path, payload.encode())
     if torn:
         faults.trip("heartbeat:mid_write")
     return path

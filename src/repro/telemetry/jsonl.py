@@ -24,16 +24,13 @@ every trace consumer works on either format transparently.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import os
 import time
 from pathlib import Path
 from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
-from repro.execution import faults
-
+from repro import storage
 from repro.telemetry.recorder import Recorder, RunProvenance, TRACE_SCHEMA_VERSION
 from repro.telemetry.spans import SpanRecord
 
@@ -168,15 +165,15 @@ class JsonlTraceWriter(TraceWriterBase):
     unbuffered binary write, so every completed record reaches the OS as
     it happens and a process that dies mid-run leaves a salvageable prefix
     (see ``salvage=True`` on :func:`read_trace`/:func:`validate_trace`).
-    A path target is written as ``<path>.tmp`` and atomically renamed into
-    place on :meth:`close`, so the trace at the target path is never
-    observably half-written.  Use as a context manager, or call
-    :meth:`close` explicitly; the file is opened lazily on the first
-    record.
+    A path target is written as ``<path>.tmp`` (a staged
+    :class:`repro.storage.Stream`) and atomically renamed into place on
+    :meth:`close`, so the trace at the target path is never observably
+    half-written.  Use as a context manager, or call :meth:`close`
+    explicitly; the file is opened lazily on the first record.
 
     Args:
         target: output path or an already-open text file (not closed by us,
-            and written in place — no tmp-then-rename for caller-owned files).
+            written in place and only flushed: its durability is yours).
         include_timings: when ``False``, omit the wall-clock fields
             (``wall_s``, ``wall_clock_s``, ``rounds_per_second``) so that
             traces of seed-identical runs are byte-identical — the mode the
@@ -185,13 +182,16 @@ class JsonlTraceWriter(TraceWriterBase):
 
     def __init__(self, target: PathOrFile, include_timings: bool = True) -> None:
         super().__init__(include_timings)
-        self._path: Optional[Path] = None
-        self._tmp_path: Optional[Path] = None
-        self._file: Optional[IO] = None
-        self._owns_file = False
+        self._stream: Optional[storage.Stream] = None
+        self._file: Optional[IO[str]] = None
         if isinstance(target, (str, Path)):
-            self._path = Path(target)
-            self._owns_file = True
+            # Unbuffered raw binary: each record is one write(2) straight to
+            # the OS, so a killed process leaves a salvageable prefix — the
+            # line-buffered TextIOWrapper gave the same guarantee but paid a
+            # per-write newline scan and encoder pass on top.
+            self._stream = storage.Stream(
+                target, "trace:mid_write", "trace:after_write"
+            )
         else:
             self._file = target
 
@@ -200,19 +200,16 @@ class JsonlTraceWriter(TraceWriterBase):
     # ------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Flush Python buffers and fsync, as far as the target supports it.
+        """Flush, and fsync a path target's ``.tmp`` file.
 
         :class:`~repro.execution.ShutdownGuard` calls this (via
         ``register``) before a graceful exit so an interrupted trace is
         durable on disk, not sitting in user-space buffers.
         """
-        if self._file is None:
-            return
-        self._file.flush()
-        try:
-            os.fsync(self._file.fileno())
-        except (OSError, ValueError, io.UnsupportedOperation):
-            pass  # not a real file descriptor (StringIO, pipes, ...)
+        if self._stream is not None:
+            self._stream.sync()
+        else:
+            self._file.flush()
 
     def close(self) -> None:
         """Flush, fsync, close, and publish the trace at its target path.
@@ -221,40 +218,18 @@ class JsonlTraceWriter(TraceWriterBase):
         target only here — a completed trace is never observably
         half-written, and a hard kill leaves ``<path>.tmp`` for salvage.
         """
-        if self._file is None:
-            return
-        self.flush()
-        if self._owns_file:
-            self._file.close()
-            self._file = None
-            if self._tmp_path is not None:
-                os.replace(self._tmp_path, self._path)
-                self._tmp_path = None
+        if self._stream is not None:
+            self._stream.close()
+        else:
+            self._file.flush()
 
     def _write(self, record: Dict[str, Any]) -> None:
-        if self._file is None:
-            if self._path is None:
-                raise ValueError("trace writer already closed")
-            self._tmp_path = self._path.with_name(self._path.name + ".tmp")
-            # Unbuffered raw binary: each record is one write(2) straight
-            # to the OS, so a killed process leaves a salvageable prefix —
-            # the line-buffered TextIOWrapper gave the same guarantee but
-            # paid a per-write newline scan and encoder pass on top.
-            self._file = self._tmp_path.open("wb", buffering=0)
         line = _ENCODE(record) + "\n"
-        data = line.encode("utf-8") if self._owns_file else line
-        if faults.should_trip("trace:mid_write"):
-            # Deterministically manufacture a torn write: half the record,
-            # durable on disk, then death — the scenario salvage mode exists
-            # for, produced on demand instead of waited for.
-            self._file.write(data[: max(1, len(data) // 2)])
-            self.flush()
-            faults.trip("trace:mid_write")
-        self._file.write(data)
+        if self._stream is not None:
+            self._stream.write(line.encode("utf-8"))
+        else:
+            self._file.write(line)
         self.records_written += 1
-        if faults.should_trip("trace:after_write"):
-            self.flush()
-            faults.trip("trace:after_write")
 
 
 def _number(value):
@@ -269,8 +244,7 @@ def _is_columnar(path: PathOrFile) -> bool:
     if not isinstance(path, (str, Path)):
         return False
     try:
-        with Path(path).open("rb") as handle:
-            return handle.read(len(COLUMNAR_MAGIC)) == COLUMNAR_MAGIC
+        return storage.has_magic(path, COLUMNAR_MAGIC)
     except OSError:
         return False
 

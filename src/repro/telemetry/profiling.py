@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import cProfile
 import json
-import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, Mapping, Optional, Union
 
+from repro import storage
 from repro.telemetry.spans import SpanAggregate
 
 __all__ = [
@@ -100,15 +100,8 @@ def spans_to_speedscope(
 
 def write_speedscope(path: Union[str, Path], document: dict) -> Path:
     """Atomically write a speedscope JSON document (tmp + fsync + rename)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as handle:
-        json.dump(document, handle, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    text = json.dumps(document, sort_keys=True) + "\n"
+    return storage.publish(path, text.encode())
 
 
 @contextmanager

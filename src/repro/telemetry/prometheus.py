@@ -27,7 +27,6 @@ serving ``/metrics`` adds no per-round cost to a run.
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro import storage
 from repro.telemetry.heartbeat import Heartbeat
 from repro.telemetry.recorder import RunMetrics
 
@@ -574,14 +574,7 @@ def render_metrics(
 def write_textfile(path: Union[str, Path], text: str) -> Path:
     """Atomically publish an exposition payload (node-exporter textfile
     collector convention: readers never observe a partial file)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    return storage.publish(path, text.encode())
 
 
 class MetricsServer:

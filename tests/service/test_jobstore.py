@@ -16,6 +16,7 @@ import zlib
 
 import pytest
 
+from repro import storage
 from repro.execution.shutdown import EXIT_FAULT_INJECTED
 from repro.service.jobstore import (
     JOBSTORE_SCHEMA_VERSION,
@@ -23,8 +24,6 @@ from repro.service.jobstore import (
     Job,
     JobStore,
     JobStoreError,
-    frame_record,
-    iter_journal_records,
     load_jobs,
 )
 
@@ -105,7 +104,7 @@ class TestReplay:
         store.close()
         journal = store.journal_path
         intact = journal.stat().st_size
-        frame = frame_record(b'{"schema": 1, "seq": 3}')
+        frame = storage.frame(JOURNAL_MAGIC, b'{"schema": 1, "seq": 3}')
         with open(journal, "ab") as handle:
             handle.write(frame[: len(frame) // 2])
 
@@ -148,6 +147,30 @@ class TestReplay:
         reopened = make_store(tmp_path)
         assert reopened.get(job.id).state == "queued"
         assert reopened.salvaged_bytes > 0
+
+    def test_damage_before_valid_records_is_refused_not_truncated(self, tmp_path):
+        store = make_store(tmp_path)
+        first = store.submit(SPEC)
+        second = store.submit(SPEC)
+        store.transition(first.id, "running", attempt=1)
+        store.transition(second.id, "cancelled")
+        store.close()
+        journal = store.journal_path
+        intact = journal.read_bytes()
+        frames = storage.FrameScan(intact, JOURNAL_MAGIC)
+        starts = [frames.end for _ in frames]  # each record's offset
+        for record in (0, 1):
+            data = bytearray(intact)
+            data[starts[record] + 20] ^= 1  # one bit inside the record body
+            journal.write_bytes(bytes(data))
+            with pytest.raises(
+                JobStoreError, match=f"damaged at byte {starts[record]},"
+            ):
+                JobStore(store.root)
+            assert journal.read_bytes() == bytes(data)  # left untouched
+            # The read-only view still serves the valid prefix.
+            view = load_jobs(store.root)
+            assert [j.id for j in view.jobs()] == [first.id, second.id][:record]
 
     def test_corrupted_crc_ends_the_walk(self, tmp_path):
         store = make_store(tmp_path)
@@ -219,7 +242,7 @@ class TestSnapshotCompaction:
         assert len(reopened.jobs()) == 1
         assert reopened.get(job.id).state == "running"
         assert reopened.replay_skipped == len(list(
-            iter_journal_records(journal_before)
+            storage.FrameScan(journal_before, JOURNAL_MAGIC)
         ))
 
 
@@ -230,7 +253,7 @@ class TestVersionSkewAndCorruption:
         record = {"schema": JOBSTORE_SCHEMA_VERSION + 1, "seq": 1,
                   "job": "J000001", "to": "queued", "at": 0.0, "fields": {}}
         (root / "jobs.journal").write_bytes(
-            frame_record(json.dumps(record).encode())
+            storage.frame(JOURNAL_MAGIC, json.dumps(record).encode())
         )
         with pytest.raises(JobStoreError, match="schema v2 is not supported"):
             JobStore(root)
