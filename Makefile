@@ -15,6 +15,7 @@ doctest:
 	    src/repro/dynamics/rng.py \
 	    src/repro/dynamics/batched.py \
 	    src/repro/execution/backoff.py \
+	    src/repro/execution/pool.py \
 	    src/repro/execution/supervisor.py \
 	    src/repro/storage.py
 

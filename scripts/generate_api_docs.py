@@ -29,8 +29,9 @@ MODULES = [
     "repro.telemetry.columnar",
     "repro.telemetry.resources", "repro.telemetry.heartbeat",
     "repro.telemetry.prometheus", "repro.telemetry.profiling",
+    "repro.storage",
     "repro.execution.checkpoint", "repro.execution.faults", "repro.execution.shutdown",
-    "repro.execution.backoff", "repro.execution.supervisor",
+    "repro.execution.backoff", "repro.execution.pool", "repro.execution.supervisor",
     "repro.service.jobstore", "repro.service.worker", "repro.service.server",
     "repro.markov.chain", "repro.markov.exact", "repro.markov.birth_death",
     "repro.markov.doob", "repro.markov.concentration", "repro.markov.escape",
@@ -83,6 +84,24 @@ def _signature(item) -> str:
     return re.sub(r"<function (\w+) at 0x[0-9a-f]+>", r"<function \1>", text)
 
 
+def _value(item) -> str:
+    """``repr`` with set members sorted.
+
+    A set's own ``repr`` follows the string hash, which ``PYTHONHASHSEED``
+    reseeds per process; sorted members keep the file identical across
+    runs.
+    """
+    if isinstance(item, (set, frozenset)):
+        members = "{" + ", ".join(sorted(_value(member) for member in item)) + "}"
+        if isinstance(item, frozenset):
+            return f"frozenset({members})" if item else "frozenset()"
+        return members if item else "set()"
+    if isinstance(item, dict):
+        pairs = (f"{_value(key)}: {_value(value)}" for key, value in item.items())
+        return "{" + ", ".join(pairs) + "}"
+    return repr(item)
+
+
 def main() -> None:
     out = io.StringIO()
     out.write("# API reference\n\n")
@@ -115,7 +134,7 @@ def main() -> None:
                 # A constant's own value is its documentation; the docstring
                 # inspect finds is just the one for its type (useless noise
                 # like "int([x]) -> integer").
-                value = repr(item)
+                value = _value(item)
                 summary = value if len(value) <= 72 else value[:69] + "..."
             out.write(f"- **`{label}`** ({kind}) — {summary}\n")
     target = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"

@@ -579,7 +579,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.root,
             host=args.host,
             port=args.port,
-            metrics_port=args.metrics_port,
             config=config,
             guard=guard,
         )
@@ -1100,11 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, metavar="PORT",
         help="API port (default 0: ephemeral; the chosen URL is printed "
              "to stderr)",
-    )
-    serve.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="also expose /metrics on a dedicated Prometheus port "
-             "(0 = ephemeral)",
     )
     serve.add_argument(
         "--workers", type=int, default=1, metavar="K",

@@ -20,7 +20,9 @@ over a supervised worker pool (per-shard timeouts, capped-backoff retries,
 quarantine, degraded-mode statistics).  It is imported on demand — via
 ``import repro.execution.supervisor`` or the ``workers=`` argument of the
 runners — rather than re-exported here, because it sits *above* the
-dynamics runners in the import graph.
+dynamics runners in the import graph.  Its worker processes, like the job
+service's, run through :mod:`repro.execution.pool`, the one supervision
+loop, imported on demand for the same reason.
 """
 
 from repro.execution.checkpoint import (

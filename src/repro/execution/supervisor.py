@@ -11,10 +11,12 @@ each shard in its own worker process under supervision:
   one :func:`repro.dynamics.rng.spawn_rngs` call in the parent, so the
   random streams depend only on ``(seed, shards)`` — results for a given
   seed are byte-identical whether run with 1 or 16 workers.
-* **Supervision.**  Each shard attempt runs with an optional per-shard
-  wall-clock timeout; a worker that dies (crash, ``REPRO_FAULT`` kill,
-  OOM) or overruns is retried with capped exponential backoff, and after
-  ``max_retries`` retries the shard is quarantined as *failed*.
+* **Supervision.**  Each shard attempt runs in a
+  :class:`~repro.execution.pool.WorkerPool` worker (the loop the job
+  service shares) with an optional wall-clock deadline; a worker that
+  dies (crash, ``REPRO_FAULT`` kill, OOM), overruns, or exits without a
+  result is retried with seeded capped backoff, and after ``max_retries``
+  retries the shard is quarantined as *failed*.
 * **Graceful degradation.**  Failed-past-retry shards are excluded — never
   silently, mirroring the censoring philosophy: the surviving shards
   aggregate into :class:`~repro.analysis.ensemble.ConvergenceStats` whose
@@ -37,60 +39,50 @@ looks like a transient fault and the retry converges to the unfaulted
 result; ``REPRO_FAULT_SHARD=<k>`` restricts arming to shard ``k``; setting
 ``REPRO_FAULT_STICKY=1`` keeps the fault armed on retries, which is how
 the quarantine/degraded path is exercised deterministically.
-
-``bench --timeout`` composition: the SIGALRM budget that
-``REPRO_BENCH_TIMEOUT`` arms only fires in the main process, so a hung
-worker would escape it.  The supervisor therefore folds the bench budget
-into the per-shard timeout — the *tighter* (smaller) of the two wins — so
-a stuck worker is killed by the supervisor before (or when) the alarm
-fires in the parent.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import multiprocessing.connection
 import os
-import sys
 import tempfile
 import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro import storage
 from repro.dynamics.rng import spawn_rngs
 from repro.execution import faults
-from repro.execution.backoff import backoff_delay_s
 from repro.execution.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
-    CheckpointError,
-    Checkpointer,
     decode_times,
     encode_times,
+)
+from repro.execution.pool import (
+    Ending,
+    Recording,
+    WorkerPool,
+    open_checkpoint,
+    retry_delay,
 )
 from repro.execution.shutdown import GracefulExit
 from repro.telemetry import (
     NULL_RECORDER,
     Recorder,
-    compose_recorders,
     rng_provenance,
     run_provenance,
     span,
 )
 from repro.telemetry.heartbeat import (
     Heartbeat,
-    HeartbeatRecorder,
     heartbeat_path,
     read_heartbeat,
     write_heartbeat,
 )
-from repro.telemetry.columnar import open_trace_writer, write_trace_records
+from repro.telemetry.columnar import write_trace_records
 from repro.telemetry.jsonl import read_trace
 from repro.telemetry.recorder import TRACE_SCHEMA_VERSION
 from repro.telemetry.resources import sample_resources
@@ -147,8 +139,6 @@ class SupervisorConfig:
             lock-step.
         backoff_cap_s: upper bound on the backoff delay.
         poll_s: supervision loop wakeup interval.
-        trace_timings: forward wall-clock fields into per-shard traces
-            (default off so merged traces stay byte-identical per seed).
         trace_format: container for shard traces and the merged trace —
             ``"jsonl"`` or ``"columnar"`` (see docs/OBSERVABILITY.md,
             "Trace formats").
@@ -161,7 +151,6 @@ class SupervisorConfig:
     backoff_base_s: float = 0.1
     backoff_cap_s: float = 5.0
     poll_s: float = 0.05
-    trace_timings: bool = False
     trace_format: str = "jsonl"
 
 
@@ -293,7 +282,7 @@ def summarize_supervised(result: SupervisedTimes, budget: Optional[int] = None):
 
 @dataclass
 class _ShardTask:
-    """Everything one worker attempt needs, shipped to the child process."""
+    """Everything one shard attempt computes, shipped to the worker process."""
 
     index: int
     replicas: int
@@ -301,169 +290,77 @@ class _ShardTask:
     config: object
     max_rounds: int
     rng: np.random.Generator
-    checkpoint_path: Optional[str]
+    checkpoint_path: Optional[Path]
     checkpoint_every: int
-    trace_path: Optional[str]
-    trace_timings: bool
-    trace_format: str
-    times_path: str
-    env: Dict[str, Optional[str]]
+    recording: Recording
     engine: Optional[str] = None
-    heartbeat_path: Optional[str] = None
-    heartbeat_every_s: float = 1.0
-    attempt: int = 1
-    profile_path: Optional[str] = None
     scenario: object = None
 
 
-def _shard_worker(task: _ShardTask) -> None:
-    """Run one shard to completion inside a worker process.
+def _shard_worker(task: _ShardTask) -> dict:
+    """One shard attempt: an ordinary serial ``simulate_ensemble`` call.
 
-    The shard is an ordinary serial :func:`~repro.dynamics.run.
-    simulate_ensemble` call, so every existing crashpoint
-    (``ensemble:after_round``, ``checkpoint:after_tmp_write``, ...) fires
-    inside the worker and per-shard checkpoints come from the stock
-    :class:`~repro.execution.checkpoint.Checkpointer`.  The result is
-    published by an atomic tmp-then-rename file write — queues would lose
-    data to ``os._exit`` kills.
+    Every existing crashpoint (``ensemble:after_round``, ...) fires inside
+    the worker, and a retry resumes the shard's own checkpoint.
     """
     from repro.dynamics.run import simulate_ensemble
 
-    for key, value in task.env.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    # A forked child inherits the parent's crashpoint visit counters;
-    # shards must count their own visits from zero.
-    faults.reset()
-    checkpoint = None
-    if task.checkpoint_path is not None:
-        path = Path(task.checkpoint_path)
-        if path.exists():
-            try:
-                checkpoint = Checkpointer.resume(path, every=task.checkpoint_every)
-            except CheckpointError as error:
-                print(
-                    f"repro: shard {task.index}: discarding unusable "
-                    f"checkpoint ({error}); restarting the shard",
-                    file=sys.stderr,
-                )
-        if checkpoint is None:
-            checkpoint = Checkpointer(path, every=task.checkpoint_every)
-    trace = (
-        open_trace_writer(
-            task.trace_path, task.trace_format,
-            include_timings=task.trace_timings,
+    with task.recording.open() as recorder:
+        times = simulate_ensemble(
+            task.protocol, task.config, task.max_rounds, task.rng,
+            task.replicas,
+            recorder=recorder,
+            checkpoint=open_checkpoint(task.checkpoint_path, task.checkpoint_every),
+            engine=task.engine,
+            scenario=task.scenario,
         )
-        if task.trace_path is not None
-        else None
-    )
-    beat = (
-        HeartbeatRecorder(
-            task.heartbeat_path,
-            role="shard",
-            shard=task.index,
-            attempt=task.attempt,
-            interval_s=task.heartbeat_every_s,
-        )
-        if task.heartbeat_path is not None
-        else None
-    )
-    if task.profile_path is not None:
-        from repro.telemetry.profiling import maybe_cprofile
-
-        profiled = maybe_cprofile(task.profile_path)
-    else:
-        profiled = nullcontext()
-    try:
-        with profiled:
-            times = simulate_ensemble(
-                task.protocol, task.config, task.max_rounds, task.rng,
-                task.replicas,
-                recorder=compose_recorders(trace, beat),
-                checkpoint=checkpoint,
-                engine=task.engine,
-                scenario=task.scenario,
-            )
-    finally:
-        if trace is not None:
-            trace.close()
-    document = json.dumps({"shard": task.index, "times": encode_times(times)})
-    storage.publish(task.times_path, (document + "\n").encode())
+    return {"times": encode_times(times)}
 
 
 # ----------------------------------------------------------------------
-# Supervision loop
+# Supervision policy
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class _Running:
-    process: multiprocessing.process.BaseProcess
-    attempt: int
-    started_at: float
-    deadline: Optional[float]
 
 
 def _effective_timeout(timeout_s: Optional[float]) -> Optional[float]:
     """Per-shard budget after folding in ``REPRO_BENCH_TIMEOUT``.
 
-    The tighter (smaller) of the two wins: the bench alarm only fires in
-    the main process, so a hung worker must be killed by the supervisor's
-    own deadline no later than the alarm would have fired.
+    The tighter (smaller) of the two wins: the ``bench --timeout`` alarm
+    only fires in the main process, so a hung worker must be killed by the
+    supervisor's own deadline no later than the alarm would have fired.
     """
-    raw = os.environ.get("REPRO_BENCH_TIMEOUT")
-    bench: Optional[float] = None
-    if raw:
-        try:
-            parsed = float(raw)
-        except ValueError:
-            parsed = None
-        if parsed is not None and parsed > 0:
-            bench = parsed
-    candidates = [t for t in (timeout_s, bench) if t is not None]
-    return min(candidates) if candidates else None
+    try:
+        bench = float(os.environ.get("REPRO_BENCH_TIMEOUT", ""))
+    except ValueError:
+        bench = 0.0
+    budgets = [t for t in (timeout_s, bench if bench > 0 else None) if t is not None]
+    return min(budgets, default=None)
 
 
 def _fault_env(shard: int, attempt: int) -> Dict[str, Optional[str]]:
-    """Per-attempt environment overrides controlling fault forwarding."""
-    overrides: Dict[str, Optional[str]] = {
-        "REPRO_WORKER_SHARD": str(shard),
-        "REPRO_WORKER_ATTEMPT": str(attempt),
-    }
-    spec = os.environ.get(faults.FAULT_ENV_VAR)
-    if not spec:
-        overrides[faults.FAULT_ENV_VAR] = None
-        return overrides
+    """The ``REPRO_FAULT`` a shard attempt runs under (``None`` = unset)."""
+    spec = os.environ.get(faults.FAULT_ENV_VAR) or None
     target = os.environ.get(FAULT_SHARD_ENV_VAR, "").strip()
-    if target:
+    if spec and target:
         try:
-            target_index = int(target)
+            spec = spec if int(target) == shard else None
         except ValueError:
-            raise ValueError(
-                f"invalid {FAULT_SHARD_ENV_VAR} value {target!r}: expected "
-                "a shard index"
-            )
-        if target_index != shard:
-            overrides[faults.FAULT_ENV_VAR] = None
-            return overrides
+            raise ValueError(f"invalid {FAULT_SHARD_ENV_VAR} value {target!r}: "
+                             "expected a shard index") from None
     sticky = os.environ.get(FAULT_STICKY_ENV_VAR, "").strip() not in ("", "0")
     if attempt > 1 and not sticky:
         # Transient-fault model: the retry runs clean, so the supervisor
         # recovers to the unfaulted result bit-for-bit.
-        overrides[faults.FAULT_ENV_VAR] = None
-        return overrides
-    overrides[faults.FAULT_ENV_VAR] = spec
-    return overrides
+        spec = None
+    return {faults.FAULT_ENV_VAR: spec}
 
 
-def _load_shard_times(path: Path) -> Optional[np.ndarray]:
-    try:
-        document = json.loads(path.read_text())
-        return decode_times(document["times"])
-    except (OSError, ValueError, KeyError, TypeError):
+def _shard_path(base, index: int) -> Optional[Path]:
+    """``<base>.shard<k>``, or ``None`` without a base."""
+    if base is None:
         return None
+    base = Path(base)
+    return base.with_name(f"{base.name}.shard{index}")
 
 
 def run_supervised_ensemble(
@@ -479,7 +376,6 @@ def run_supervised_ensemble(
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     trace_path: Optional[Union[str, Path]] = None,
     guard=None,
-    workdir: Optional[Union[str, Path]] = None,
     engine: Optional[str] = None,
     heartbeat_base: Optional[Union[str, Path]] = None,
     heartbeat_every_s: float = 1.0,
@@ -520,8 +416,6 @@ def run_supervised_ensemble(
             SIGINT/SIGTERM the pool is torn down at the next supervision
             wakeup and :class:`GracefulExit` raised (shard checkpoints
             stay resumable).
-        workdir: scratch directory for shard result files (default: a
-            private temporary directory).
         heartbeat_base: base path for heartbeat files (default: the
             checkpoint base, when one is set).  The supervisor writes
             ``<base>.heartbeat.json`` and each worker writes
@@ -591,104 +485,57 @@ def run_supervised_ensemble(
     shard_rngs = spawn_rngs(rng, shards)
     timeout = _effective_timeout(cfg.timeout_s)
 
-    scratch_ctx = None
-    if workdir is None:
-        scratch_ctx = tempfile.TemporaryDirectory(prefix="repro_supervisor_")
-        scratch = Path(scratch_ctx.name)
-    else:
-        scratch = Path(workdir)
-        scratch.mkdir(parents=True, exist_ok=True)
-
-    def shard_trace_path(index: int) -> Optional[Path]:
-        if trace_path is None:
-            return None
-        base = Path(trace_path)
-        return base.with_name(base.name + f".shard{index}")
-
-    def shard_checkpoint_path(index: int) -> Optional[str]:
-        if checkpoint_base is None:
-            return None
-        base = Path(checkpoint_base)
-        return str(base.with_name(base.name + f".shard{index}"))
-
-    hb_base: Optional[Path] = None
-    if heartbeat_base is not None:
-        hb_base = Path(heartbeat_base)
-    elif checkpoint_base is not None:
-        hb_base = Path(checkpoint_base)
+    hb_base = heartbeat_base if heartbeat_base is not None else checkpoint_base
     if profile_dir is not None:
         Path(profile_dir).mkdir(parents=True, exist_ok=True)
 
-    def shard_heartbeat_path(index: int) -> Optional[str]:
-        if hb_base is None:
-            return None
-        shard_base = hb_base.with_name(hb_base.name + f".shard{index}")
-        return str(heartbeat_path(shard_base))
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        context = multiprocessing.get_context()
+    def shard_heartbeat_path(index: int) -> Optional[Path]:
+        return None if hb_base is None else heartbeat_path(_shard_path(hb_base, index))
 
     pending = deque(range(shards))
     not_before: Dict[int, float] = {}
-    attempts: Dict[int, int] = {k: 0 for k in range(shards)}
     failures: Dict[int, List[ShardFailure]] = {k: [] for k in range(shards)}
     shard_times: Dict[int, np.ndarray] = {}
     quarantined: set = set()
-    running: Dict[int, _Running] = {}
     retries = 0
     timeouts = 0
 
     sup_beat: Optional[Heartbeat] = None
-    sup_beat_path: Optional[Path] = None
     last_beat_at: Optional[float] = None
     if hb_base is not None:
-        sup_beat_path = heartbeat_path(hb_base)
         sup_beat = Heartbeat(
-            role="supervisor",
-            pid=os.getpid(),
-            shards=shards,
-            replicas=replicas,
-            replicas_done=0,
-            max_rounds=max_rounds,
+            role="supervisor", pid=os.getpid(), shards=shards,
+            replicas=replicas, replicas_done=0, max_rounds=max_rounds,
         )
 
-    def flush_supervisor_heartbeat(
-        force: bool = False, status: Optional[str] = None
-    ) -> None:
-        """Rewrite the supervisor heartbeat, throttled unless forced."""
+    def flush_supervisor_heartbeat(status: Optional[str] = None) -> None:
+        """Rewrite the supervisor heartbeat; throttled unless given a status."""
         nonlocal last_beat_at
-        if sup_beat is None:
-            return
         now = time.monotonic()
-        if (
-            not force
-            and status is None
+        if sup_beat is None or (
+            status is None
             and last_beat_at is not None
             and now - last_beat_at < heartbeat_every_s
         ):
             return
-        if status is not None:
-            sup_beat.status = status
+        sample = sample_resources(include_children=True)
+        sup_beat.status = status or sup_beat.status
         sup_beat.replicas_done = sum(sizes[k] for k in shard_times)
         sup_beat.retries = retries
         sup_beat.timeouts = timeouts
         sup_beat.failed_shards = len(quarantined)
         sup_beat.updated_at = time.time()
-        sample = sample_resources(include_children=True)
         sup_beat.rss_bytes = sample.rss_bytes
         sup_beat.peak_rss_bytes = sample.peak_rss_bytes
         sup_beat.cpu_s = sample.cpu_s
-        write_heartbeat(sup_beat_path, sup_beat)
+        write_heartbeat(heartbeat_path(hb_base), sup_beat)
         last_beat_at = now
 
     def mark_shard_failed(index: int) -> None:
         """Overwrite a quarantined shard's heartbeat with status=failed.
 
-        The worker died mid-write or mid-run, so its own heartbeat still
-        says "running"; without this, watchers would render a dead shard
-        as merely stale forever.
+        Its dead worker's last beat still says "running": watchers would
+        render the shard as merely stale forever.
         """
         path = shard_heartbeat_path(index)
         if path is None:
@@ -697,13 +544,12 @@ def run_supervised_ensemble(
             role="shard", shard=index, replicas=sizes[index]
         )
         beat.status = "failed"
-        beat.attempt = attempts[index]
+        beat.attempt = len(failures[index])
         beat.updated_at = time.time()
         write_heartbeat(path, beat)
 
     def launch(index: int) -> None:
-        attempts[index] += 1
-        attempt = attempts[index]
+        attempt = len(failures[index]) + 1
         task = _ShardTask(
             index=index,
             replicas=sizes[index],
@@ -711,141 +557,90 @@ def run_supervised_ensemble(
             config=config,
             max_rounds=max_rounds,
             rng=shard_rngs[index],
-            checkpoint_path=shard_checkpoint_path(index),
+            checkpoint_path=_shard_path(checkpoint_base, index),
             checkpoint_every=checkpoint_every,
-            trace_path=(
-                str(shard_trace_path(index))
-                if shard_trace_path(index) is not None
-                else None
+            # Timing-free traces, so the merged trace is a pure function
+            # of the seed, the shard count and the container format.
+            recording=Recording(
+                trace_path=_shard_path(trace_path, index),
+                trace_format=cfg.trace_format, trace_timings=False,
+                heartbeat_path=shard_heartbeat_path(index),
+                heartbeat_every_s=heartbeat_every_s,
+                role="shard", shard=index, attempt=attempt,
+                profile_path=(
+                    None if profile_dir is None
+                    else Path(profile_dir) / f"shard{index}.prof"
+                ),
             ),
-            trace_timings=cfg.trace_timings,
-            trace_format=cfg.trace_format,
-            times_path=str(scratch / f"shard{index}.times.json"),
-            env=_fault_env(index, attempt),
             engine=family,
-            heartbeat_path=shard_heartbeat_path(index),
-            heartbeat_every_s=heartbeat_every_s,
-            attempt=attempt,
-            profile_path=(
-                str(Path(profile_dir) / f"shard{index}.prof")
-                if profile_dir is not None
-                else None
-            ),
             scenario=scenario,
         )
-        process = context.Process(target=_worker, args=(task,), daemon=True)
-        process.start()
-        now = time.monotonic()
-        running[index] = _Running(
-            process=process,
+        pool.start(
+            index,
+            partial(_worker, task),
             attempt=attempt,
-            started_at=now,
-            deadline=now + timeout if timeout is not None else None,
+            result_path=Path(scratch.name) / f"shard{index}.times.json",
+            env=_fault_env(index, attempt),
+            deadline_s=timeout,
         )
 
-    def record_failure(index: int, run: _Running, kind: str) -> None:
+    def record_failure(ending: Ending) -> None:
         nonlocal retries, timeouts
-        now = time.monotonic()
-        failures[index].append(
-            ShardFailure(
-                shard=index,
-                attempt=run.attempt,
-                kind=kind,
-                exitcode=run.process.exitcode,
-                elapsed_s=now - run.started_at,
-            )
-        )
-        if kind == "timeout":
-            timeouts += 1
-        if attempts[index] > cfg.max_retries:
-            quarantined.add(index)
-            mark_shard_failed(index)
-            # Forced write: the quarantine tick must be scrapeable now,
-            # not one throttle interval from now.
-            flush_supervisor_heartbeat(force=True)
-            return
-        retries += 1
-        backoff = backoff_delay_s(
+        index = ending.key
+        failures[index].append(ShardFailure(
+            shard=index, attempt=ending.attempt, kind=ending.kind,
+            exitcode=ending.exitcode, elapsed_s=ending.elapsed_s,
+        ))
+        timeouts += ending.kind == "timeout"
+        delay = retry_delay(
             len(failures[index]),
+            cfg.max_retries,
             base_s=cfg.backoff_base_s,
             cap_s=cfg.backoff_cap_s,
             key=f"{backoff_key}:shard{index}",
         )
-        not_before[index] = now + backoff
+        if delay is None:
+            quarantined.add(index)
+            mark_shard_failed(index)
+            # Forced write: the quarantine tick must be scrapeable now,
+            # not one throttle interval from now.
+            flush_supervisor_heartbeat("running")
+            return
+        retries += 1
+        not_before[index] = time.monotonic() + delay
         pending.append(index)
 
-    def teardown() -> None:
-        for run in running.values():
-            if run.process.is_alive():
-                run.process.terminate()
-        for run in running.values():
-            run.process.join(timeout=5.0)
-            if run.process.is_alive():  # pragma: no cover - terminate sufficed so far
-                run.process.kill()
-                run.process.join()
-        running.clear()
-
+    pool = WorkerPool(cfg.workers)
+    # Private home of the shard result files the pool publishes.
+    scratch = tempfile.TemporaryDirectory(prefix="repro_supervisor_")
     with span(recorder, "supervise") as timing:
-        if recording:
-            recorder.run_started(provenance)
         try:
-            while pending or running:
+            if recording:
+                recorder.run_started(provenance)
+            while pending or len(pool):
                 if guard is not None and guard.requested:
-                    teardown()
-                    flush_supervisor_heartbeat(force=True, status="interrupted")
+                    pool.close()
+                    flush_supervisor_heartbeat("interrupted")
                     raise GracefulExit(guard.signum, checkpoint_base)
                 flush_supervisor_heartbeat()
                 now = time.monotonic()
-                while pending and len(running) < cfg.workers:
-                    index = next(
-                        (s for s in pending if not_before.get(s, 0.0) <= now),
-                        None,
-                    )
-                    if index is None:
-                        break
+                ripe = [s for s in pending if not_before.get(s, 0.0) <= now]
+                for index in ripe[: pool.free]:
                     pending.remove(index)
                     launch(index)
-                if not running:
+                wait_s = cfg.poll_s
+                if pending and not len(pool):  # idle until a backoff expires
                     soonest = min(not_before.get(s, 0.0) for s in pending)
-                    time.sleep(max(0.0, min(soonest - now, cfg.poll_s)) or 0.005)
-                    continue
-                wait_for = cfg.poll_s
-                deadlines = [
-                    r.deadline for r in running.values() if r.deadline is not None
-                ]
-                if deadlines:
-                    wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-                multiprocessing.connection.wait(
-                    [run.process.sentinel for run in running.values()],
-                    timeout=wait_for,
-                )
-                now = time.monotonic()
-                for index in [s for s, r in running.items() if not r.process.is_alive()]:
-                    run = running.pop(index)
-                    run.process.join()
-                    if run.process.exitcode == 0:
-                        times = _load_shard_times(
-                            scratch / f"shard{index}.times.json"
-                        )
-                        if times is not None and len(times) == sizes[index]:
-                            shard_times[index] = times
-                            continue
-                        record_failure(index, run, "corrupt")
+                    wait_s = min(wait_s, max(0.0, soonest - now))
+                pool.wait(wait_s)
+                for ending in pool.reap():
+                    if ending.kind == "done":
+                        shard_times[ending.key] = decode_times(ending.result["times"])
                     else:
-                        record_failure(index, run, "exit")
-                for index in [
-                    s
-                    for s, r in running.items()
-                    if r.deadline is not None and now >= r.deadline
-                ]:
-                    run = running.pop(index)
-                    run.process.kill()
-                    run.process.join()
-                    record_failure(index, run, "timeout")
+                        record_failure(ending)
         finally:
-            teardown()
-            if scratch_ctx is not None:
-                scratch_ctx.cleanup()
+            pool.close()
+            scratch.cleanup()
 
         outcomes = [
             ShardOutcome(
@@ -853,7 +648,7 @@ def run_supervised_ensemble(
                 replicas=sizes[k],
                 ok=k in shard_times,
                 times=shard_times.get(k),
-                attempts=attempts[k],
+                attempts=len(failures[k]) + (k in shard_times),
                 failures=list(failures[k]),
             )
             for k in range(shards)
@@ -869,7 +664,7 @@ def run_supervised_ensemble(
             timeouts=timeouts,
             outcomes=outcomes,
         )
-        flush_supervisor_heartbeat(force=True, status="done")
+        flush_supervisor_heartbeat("done")
         if recording:
             timing.incr("shards", shards)
             timing.incr("workers", cfg.workers)
@@ -884,7 +679,7 @@ def run_supervised_ensemble(
         scenario_summary.update(recovery_summary(result.times, settle))
     if trace_path is not None:
         _write_merged_trace(
-            Path(trace_path), provenance, result, shard_trace_path,
+            Path(trace_path), provenance, result, partial(_shard_path, trace_path),
             trace_format=cfg.trace_format, scenario_summary=scenario_summary,
         )
     if recording:
@@ -920,8 +715,8 @@ def _write_merged_trace(
     ``shard`` index (a stable order that keeps ``t`` non-decreasing, as
     the validator requires), the shards' span records likewise tagged, and
     one ``run_end`` carrying the degradation summary.  Shard traces are
-    timing-free by default, so the merged bytes are a pure function of the
-    seed, shard count, and container format.  A shard that resumed a
+    timing-free, so the merged bytes are a pure function of the seed,
+    shard count, and container format.  A shard that resumed a
     *complete* checkpoint replays its stored result without re-simulating
     and thus contributes no round records.  Shard traces are read
     format-agnostically (sniffed) and the merge is emitted in
@@ -983,8 +778,7 @@ def supervisor_from(
 
     >>> supervisor_from(None, workers=4, shards=2)
     SupervisorConfig(workers=4, shards=2, timeout_s=None, max_retries=2, \
-backoff_base_s=0.1, backoff_cap_s=5.0, poll_s=0.05, trace_timings=False, \
-trace_format='jsonl')
+backoff_base_s=0.1, backoff_cap_s=5.0, poll_s=0.05, trace_format='jsonl')
     >>> supervisor_from(SupervisorConfig(workers=8), None, None).workers
     8
     """

@@ -7,11 +7,12 @@
   salvage, a compacting snapshot, and idempotent replay, so every
   acknowledged job survives ``kill -9`` at any instruction.
 - :mod:`repro.service.worker` — job execution through the existing
-  checkpoint machinery: attempts resume from their own checkpoints and
-  publish attempt-stamped results atomically.
-- :mod:`repro.service.server` — the worker pool, heartbeat watchdog,
-  restart recovery, and the stdlib HTTP API (submit, status/long-poll,
-  trace tails, ``/metrics``).
+  checkpoint machinery: each attempt resumes whatever its predecessor
+  checkpointed, and its attempt-stamped result is published atomically.
+- :mod:`repro.service.server` — dispatch onto the shared worker pool
+  (:mod:`repro.execution.pool`, which also runs the heartbeat watchdog),
+  restart recovery, and the HTTP API (submit, status/long-poll, trace
+  tails, ``/metrics``).
 
 Recovery semantics, the journal format, and the crashpoint table live in
 docs/SERVICE.md.

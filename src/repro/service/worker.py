@@ -1,20 +1,15 @@
 """Job execution: what one service worker process actually runs.
 
-A worker is a forked child that executes exactly one job attempt through
-the repository's existing durability machinery and then exits with a
-taxonomy code (:mod:`repro.execution.shutdown`):
-
-- the ensemble runs through :func:`repro.analysis.ensemble.
-  convergence_ensemble` with a :class:`~repro.execution.checkpoint.
-  Checkpointer` rooted in the job's directory, so a re-dispatched attempt
-  *resumes* from the previous attempt's checkpoint — bit-identical to an
-  uninterrupted run, never recomputed from scratch;
-- progress is published through a :class:`~repro.telemetry.heartbeat.
-  HeartbeatRecorder` at ``<jobdir>/job.heartbeat.json`` — the service's
-  watchdog (and ``repro watch``) read staleness off that file;
-- the result is published atomically (``result.json.tmp`` → fsync →
-  rename) and stamped with the attempt number, so a half-written result
-  can never be adopted and a stale one can never be double-counted.
+:func:`execute_job` is the work of one job attempt, run in a
+:class:`~repro.execution.pool.WorkerPool` worker that publishes its
+result atomically, stamped with the attempt number (a half-written result
+is never adopted, a stale one never double-counted).  The ensemble runs
+through :func:`repro.analysis.ensemble.convergence_ensemble` with
+checkpoints in the job's directory, opened by
+:func:`~repro.execution.pool.open_checkpoint`: a re-dispatched attempt
+*resumes* its predecessor's checkpoint, bit-identical to an uninterrupted
+run.  Progress goes to ``<jobdir>/job.heartbeat.json``, which the pool's
+watchdog (and ``repro watch``) read staleness off.
 
 Job specs (validated by :func:`validate_spec`) come in three kinds:
 
@@ -29,20 +24,18 @@ Job specs (validated by :func:`validate_spec`) come in three kinds:
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro import storage
+from repro.execution import pool
+from repro.telemetry.heartbeat import heartbeat_path
+
 __all__ = [
     "RESULT_NAME",
     "SpecError",
     "validate_spec",
     "execute_job",
-    "job_worker_main",
     "result_path",
-    "read_result",
     "job_trace_path",
 ]
 
@@ -124,29 +117,10 @@ def job_trace_path(jobdir, spec: Dict[str, Any]) -> Optional[Path]:
     return Path(jobdir) / f"trace.{suffix}"
 
 
-def read_result(jobdir, *, attempt: Optional[int] = None) -> Optional[Dict[str, Any]]:
-    """The job's published result, or ``None`` if absent/torn/stale.
-
-    ``attempt`` (when given) must match the attempt stamped into the
-    result: a result left behind by attempt 1 is never adopted as the
-    outcome of attempt 2.
-    """
-    path = result_path(jobdir)
-    try:
-        payload = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if attempt is not None and payload.get("attempt") != attempt:
-        return None
-    return payload
-
-
-def _build_config(spec: Dict[str, Any], n: int):
+def _build_config(spec: Dict[str, Any]):
     from repro.dynamics.config import Configuration, wrong_consensus_configuration
 
-    z = spec["z"]
+    n, z = spec["n"], spec["z"]
     low, high = Configuration.count_bounds(n, z)
     x0 = spec.get("x0")
     if x0 is None:
@@ -154,70 +128,52 @@ def _build_config(spec: Dict[str, Any], n: int):
     return Configuration(n=n, z=z, x0=min(max(int(x0), low), high))
 
 
-def _run_ensemble(spec: Dict[str, Any], jobdir: Path, *, recorder, seed: int,
-                  n: int, replicas: int, max_rounds: int,
+def _run_ensemble(spec: Dict[str, Any], jobdir: Path, *, recorder,
                   checkpoint_suffix: str = "") -> Dict[str, Any]:
     from repro.analysis.ensemble import convergence_ensemble
     from repro.cli import resolve_protocol
     from repro.dynamics.rng import make_rng
-    from repro.execution.checkpoint import Checkpointer
 
-    protocol = resolve_protocol(spec["protocol"], n)
-    config = _build_config(spec, n)
-    ckpt_path = jobdir / f"job{checkpoint_suffix}.ckpt"
-    resumed = ckpt_path.exists()
-    checkpoint = Checkpointer(ckpt_path, every=spec["checkpoint_every"])
+    checkpoint = pool.open_checkpoint(
+        jobdir / f"job{checkpoint_suffix}.ckpt", spec["checkpoint_every"]
+    )
     stats = convergence_ensemble(
-        protocol,
-        config,
-        max_rounds,
-        make_rng(seed),
-        replicas,
+        resolve_protocol(spec["protocol"], spec["n"]),
+        _build_config(spec),
+        spec["max_rounds"],
+        make_rng(spec["seed"]),
+        spec["replicas"],
         recorder=recorder,
         checkpoint=checkpoint,
         engine=spec.get("engine"),
         scenario=spec.get("scenario"),
     )
-    return {"stats": dataclasses.asdict(stats), "resumed": resumed}
+    return {
+        "stats": dataclasses.asdict(stats),
+        "resumed": checkpoint.resume_state is not None,
+    }
 
 
 def execute_job(spec: Dict[str, Any], jobdir, *, attempt: int = 1) -> Dict[str, Any]:
     """Run one job attempt and return its result payload (pure compute).
 
-    The heavy imports live inside so that merely importing the service
-    package stays cheap; the trace writer (when the spec asks for one) and
-    the heartbeat recorder compose exactly like the CLI's observability
-    plumbing.
+    The trace (when the spec asks for one) and the heartbeat are a
+    :class:`~repro.execution.pool.Recording`, like every pool attempt's.
     """
-    from repro.telemetry import compose_recorders
-    from repro.telemetry.heartbeat import HeartbeatRecorder, heartbeat_path
-
     jobdir = Path(jobdir)
     jobdir.mkdir(parents=True, exist_ok=True)
-    recorders = [
-        HeartbeatRecorder(
-            heartbeat_path(jobdir / "job"),
-            role="job",
-            attempt=attempt,
-            interval_s=spec.get("heartbeat_every_s", 1.0),
-        )
-    ]
-    trace_target = job_trace_path(jobdir, spec)
-    trace_writer = None
-    if trace_target is not None:
-        from repro.telemetry.columnar import open_trace_writer
-
-        trace_writer = open_trace_writer(trace_target, spec["trace"])
-        recorders.append(trace_writer)
-    recorder = compose_recorders(*recorders)
-    try:
+    recording = pool.Recording(
+        trace_path=job_trace_path(jobdir, spec),
+        trace_format=spec.get("trace") or "jsonl",
+        heartbeat_path=heartbeat_path(jobdir / "job"),
+        heartbeat_every_s=spec.get("heartbeat_every_s", 1.0),
+        role="job",
+        attempt=attempt,
+    )
+    with recording.open() as recorder:
         result: Dict[str, Any] = {"kind": spec["kind"], "attempt": attempt}
         if spec["kind"] in ("run", "ensemble"):
-            out = _run_ensemble(
-                spec, jobdir, recorder=recorder, seed=spec["seed"],
-                n=spec["n"], replicas=spec["replicas"],
-                max_rounds=spec["max_rounds"],
-            )
+            out = _run_ensemble(spec, jobdir, recorder=recorder)
             result.update(out)
             if spec["kind"] == "run":
                 # A run is a one-replica ensemble; surface its single time.
@@ -230,56 +186,16 @@ def execute_job(spec: Dict[str, Any], jobdir, *, attempt: int = 1) -> Dict[str, 
             points = []
             resumed_any = False
             for index, value in enumerate(spec["sweep"]["values"]):
-                overrides = {
-                    "n": spec["n"], "replicas": spec["replicas"],
-                    "max_rounds": spec["max_rounds"],
-                    "seed": spec["seed"] + index,
-                }
-                point_spec = dict(spec)
-                if param in ("n", "z", "x0"):
-                    point_spec[param] = value
-                else:
-                    overrides[param] = value
-                if param == "seed":
-                    overrides["seed"] = value
+                # Each point runs on seed + index unless the sweep is over
+                # the seed itself.
+                point = dict(spec, seed=spec["seed"] + index)
+                point[param] = value
                 out = _run_ensemble(
-                    point_spec, jobdir, recorder=recorder,
-                    seed=overrides["seed"], n=point_spec["n"],
-                    replicas=overrides["replicas"],
-                    max_rounds=overrides["max_rounds"],
+                    point, jobdir, recorder=recorder,
                     checkpoint_suffix=f".point{index}",
                 )
                 resumed_any = resumed_any or out["resumed"]
                 points.append({param: value, "stats": out["stats"]})
             result["points"] = points
             result["resumed"] = resumed_any
-        return result
-    finally:
-        if trace_writer is not None:
-            trace_writer.close()
-
-
-def job_worker_main(spec: Dict[str, Any], jobdir: str, attempt: int) -> None:
-    """Child-process entry point: run the attempt, publish, exit by taxonomy.
-
-    The ``REPRO_FAULT`` crashpoints of this PR target the *server* (journal
-    commits, compaction, dispatch) — a forked worker strips the fault spec
-    so a server-aimed fault can never fire inside a job and masquerade as a
-    compute failure.
-    """
-    import sys
-
-    from repro.execution import faults
-    from repro.execution.shutdown import EXIT_ERROR, EXIT_OK
-
-    os.environ.pop(faults.FAULT_ENV_VAR, None)
-    faults.reset()
-    try:
-        payload = execute_job(spec, jobdir, attempt=attempt)
-        text = json.dumps(payload, sort_keys=True)
-        storage.publish(result_path(Path(jobdir)), text.encode())
-    except Exception as exc:  # the exit code *is* the error channel
-        print(f"repro-service worker: {exc}", file=sys.stderr)
-        sys.stderr.flush()
-        os._exit(EXIT_ERROR)
-    os._exit(EXIT_OK)
+    return result

@@ -17,7 +17,8 @@ Three pieces, all scrape-compatible with a stock Prometheus server:
 * **Transports** — :class:`MetricsServer` serves a collector callback from
   a stdlib ``http.server`` background thread (``repro run
   --metrics-port``), and :func:`write_textfile` is the atomic textfile
-  sink for node-exporter-style collection.
+  sink for node-exporter-style collection.  The job service's API is the
+  same server with more routes (:class:`RequestHandler`).
 
 The exporter never *computes* anything new: every number already exists in
 ``MetricsRecorder``/``SpanAggregate`` aggregates or in heartbeat files, so
@@ -26,13 +27,14 @@ serving ``/metrics`` adds no per-round cost to a run.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import storage
 from repro.telemetry.heartbeat import Heartbeat
@@ -45,6 +47,7 @@ __all__ = [
     "ExpositionError",
     "MetricFamily",
     "MetricsServer",
+    "RequestHandler",
     "escape_help",
     "escape_label_value",
     "format_value",
@@ -577,6 +580,43 @@ def write_textfile(path: Union[str, Path], text: str) -> Path:
     return storage.publish(path, text.encode())
 
 
+class RequestHandler(BaseHTTPRequestHandler):
+    """A quiet request handler with text and JSON replies.
+
+    Serves ``GET /metrics`` (and ``/``) from the owning
+    :class:`MetricsServer`'s collector; subclasses add routes and reach
+    that server object as ``self.server.owner``.
+    """
+
+    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
+        pass  # requests are not news; the serving process owns stderr
+
+    def _send_text(self, status: int, text: str, content_type: str) -> None:
+        body = text.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: Any) -> None:
+        self._send_text(
+            status, json.dumps(payload, sort_keys=True),
+            "application/json; charset=utf-8",
+        )
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        if self.path.partition("?")[0] not in ("/metrics", "/"):
+            self.send_error(404, "only /metrics is served")
+            return
+        try:
+            text = self.server.owner.collect()
+        except Exception as error:  # noqa: BLE001 - surfaced as a 500
+            self._send_text(500, f"collector error: {error}\n", "text/plain")
+        else:
+            self._send_text(200, text, CONTENT_TYPE)
+
+
 class MetricsServer:
     """Serve ``GET /metrics`` from a daemon thread; stdlib only.
 
@@ -585,8 +625,12 @@ class MetricsServer:
     freshly re-read heartbeat files, so the endpoint reflects mid-run
     state without any coupling to the runner.  ``port=0`` binds an
     ephemeral port; read :attr:`port`/:attr:`url` after :meth:`start`.
-    Usable as a context manager.
+    Usable as a context manager.  Subclasses serve more routes through
+    their own :attr:`handler` (:attr:`url` ends in :attr:`path`).
     """
+
+    handler = RequestHandler
+    path = "/metrics"
 
     def __init__(
         self,
@@ -594,7 +638,7 @@ class MetricsServer:
         port: int = 0,
         host: str = "127.0.0.1",
     ) -> None:
-        self._collect = collect
+        self.collect = collect
         self.host = host
         self.port = int(port)
         self._server: Optional[ThreadingHTTPServer] = None
@@ -602,38 +646,18 @@ class MetricsServer:
 
     @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
+        return f"http://{self.host}:{self.port}{self.path}"
 
     def start(self) -> "MetricsServer":
         if self._server is not None:
             return self
-        collect = self._collect
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                if self.path.partition("?")[0] not in ("/metrics", "/"):
-                    self.send_error(404, "only /metrics is served")
-                    return
-                try:
-                    body = collect().encode("utf-8")
-                except Exception as error:  # noqa: BLE001 - surfaced as a 500
-                    body = f"collector error: {error}\n".encode("utf-8")
-                    self.send_response(500)
-                else:
-                    self.send_response(200)
-                    self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args) -> None:  # scrapes are not news
-                pass
-
-        self._server = ThreadingHTTPServer((self.host, self.port), Handler)
+        self._server = ThreadingHTTPServer((self.host, self.port), self.handler)
+        self._server.owner = self
         self.port = self._server.server_address[1]
         self._thread = threading.Thread(
             target=self._server.serve_forever,
-            name="repro-metrics-server",
+            kwargs={"poll_interval": 0.1},
+            name=f"repro-http-{self.port}",
             daemon=True,
         )
         self._thread.start()

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
 import pytest
 
 from repro.analysis.ensemble import convergence_ensemble, summarize_times
-from repro.dynamics.config import Configuration
+from repro.dynamics.config import Configuration, wrong_consensus_configuration
 from repro.dynamics.rng import make_rng
 from repro.dynamics.run import simulate_ensemble
+from repro.execution.shutdown import GracefulExit
 from repro.execution.supervisor import (
     DEFAULT_SHARD_COUNT,
     SupervisorConfig,
@@ -24,6 +27,7 @@ from repro.execution.supervisor import (
 )
 from repro.protocols import voter
 from repro.telemetry import MetricsRecorder
+from repro.telemetry.heartbeat import heartbeat_path, read_heartbeat
 from repro.telemetry.jsonl import validate_trace
 
 PROTOCOL = voter(1)
@@ -128,6 +132,29 @@ def _sleeper_worker(task):
     time.sleep(60.0)
 
 
+def _silent_worker(task):
+    os._exit(0)  # a clean exit that never published the shard's times
+
+
+class TestCorruptResults:
+    def test_exit_zero_without_result_is_retried_then_quarantined(self):
+        supervisor = SupervisorConfig(
+            workers=2, shards=2, max_retries=1, backoff_base_s=0.01
+        )
+        result = run_supervised_ensemble(
+            PROTOCOL, CONFIG, MAX_ROUNDS, make_rng(7), REPLICAS,
+            supervisor=supervisor, _worker=_silent_worker,
+        )
+        assert result.failed_shards == 2
+        assert result.retries == 2
+        assert result.times.size == 0
+        for outcome in result.outcomes:
+            assert not outcome.ok
+            assert outcome.attempts == 2
+            assert [f.kind for f in outcome.failures] == ["corrupt", "corrupt"]
+            assert [f.exitcode for f in outcome.failures] == [0, 0]
+
+
 class TestTimeouts:
     def test_hung_worker_is_killed_and_quarantined(self):
         supervisor = SupervisorConfig(
@@ -215,6 +242,51 @@ class TestCheckpointing:
         # Re-running with the completed checkpoints replays the result.
         again = _run(workers=2, checkpoint_base=base, checkpoint_every=5)
         assert np.array_equal(first.times, again.times, equal_nan=True)
+
+
+class _StopWhen:
+    """A ``ShutdownGuard`` stand-in whose stop request is a predicate."""
+
+    signum = signal.SIGTERM
+
+    def __init__(self, ready):
+        self._ready = ready
+
+    @property
+    def requested(self) -> bool:
+        return self._ready()
+
+
+class TestGracefulStop:
+    def test_guard_stop_mid_run_interrupts_and_a_rerun_resumes(self, tmp_path):
+        # Long enough (~1000 rounds per shard) that the first checkpoint
+        # at round 50 lands well before any shard finishes.
+        config = wrong_consensus_configuration(1000, 1)
+        supervisor = SupervisorConfig(workers=2, shards=2)
+
+        def run(**kwargs):
+            return run_supervised_ensemble(
+                PROTOCOL, config, 10**6, make_rng(5), 4,
+                supervisor=supervisor, **kwargs,
+            )
+
+        clean = run()
+        base = tmp_path / "run.ckpt"
+
+        def shard_checkpointed() -> bool:
+            return any(p.suffix.startswith(".shard") for p in tmp_path.iterdir())
+
+        with pytest.raises(GracefulExit):
+            run(checkpoint_base=base, checkpoint_every=50,
+                guard=_StopWhen(shard_checkpointed))
+        assert multiprocessing.active_children() == []
+        assert read_heartbeat(heartbeat_path(base)).status == "interrupted"
+        shard_files = [p for p in tmp_path.iterdir() if p.suffix.startswith(".shard")]
+        assert shard_files
+        assert not all(json.loads(p.read_text())["complete"] for p in shard_files)
+
+        resumed = run(checkpoint_base=base, checkpoint_every=50)
+        assert np.array_equal(resumed.times, clean.times, equal_nan=True)
 
 
 class TestRecorder:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -14,6 +17,7 @@ import pytest
 from repro.execution.backoff import backoff_delay_s
 from repro.execution.shutdown import (
     EXIT_ERROR,
+    EXIT_FAULT_INJECTED,
     EXIT_INTERRUPTED,
     EXIT_NOT_CONVERGED,
 )
@@ -25,10 +29,15 @@ from repro.service import (
     exit_taxonomy,
     validate_spec,
 )
+from repro.service import worker
 from repro.service.jobstore import JobStoreError
+from repro.telemetry.jsonl import read_trace
 
 FAST = {"kind": "ensemble", "protocol": "voter", "n": 30, "replicas": 4,
         "max_rounds": 3000, "seed": 7}
+# Outlives every watchdog and test: minutes of work per attempt.
+LONG = {"kind": "ensemble", "protocol": "voter", "n": 5000, "replicas": 4000,
+        "max_rounds": 10_000_000, "seed": 3, "checkpoint_every": 10**9}
 
 
 def quick_config(**overrides) -> ServiceConfig:
@@ -145,12 +154,60 @@ class TestLifecycle:
         finally:
             svc.shutdown()
 
+    def test_cancel_running_job_kills_worker_and_frees_the_slot(self, tmp_path):
+        svc = Service(tmp_path / "svc", quick_config(workers=1))
+        try:
+            job = svc.submit(LONG)
+            deadline = time.monotonic() + 60
+            while (time.monotonic() < deadline
+                   and svc.store.get(job.id).worker_pid is None):
+                svc.tick()
+                time.sleep(0.005)
+            pid = svc.store.get(job.id).worker_pid
+            assert pid is not None
+            # A result stamped with the live attempt must still never be
+            # adopted once the job is cancelled.
+            (svc.store.job_dir(job.id) / "result.json").write_text(
+                json.dumps({"kind": "ensemble", "attempt": 1, "stats": {}})
+            )
+            assert svc.cancel(job.id).state == "cancelled"
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+            quick = svc.submit(FAST)
+            assert svc.drain(timeout_s=60)
+            assert svc.store.get(quick.id).state == "done"
+            cancelled = svc.store.get(job.id)
+            assert cancelled.state == "cancelled"
+            assert cancelled.result is None
+        finally:
+            svc.shutdown()
+
+    def test_exit_zero_without_result_is_requeued(self, tmp_path, monkeypatch):
+        def publish_nothing(spec, jobdir, *, attempt=1):
+            os._exit(0)
+
+        monkeypatch.setattr(worker, "execute_job", publish_nothing)
+        svc = Service(tmp_path / "svc", quick_config(workers=1))
+        try:
+            job = svc.submit(FAST, max_retries=1)
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                svc.tick()
+                if svc.store.get(job.id).retries == 1:
+                    break
+                time.sleep(0.005)
+            requeued = svc.store.get(job.id)
+            assert requeued.retries == 1
+            assert requeued.state == "queued"
+            assert requeued.result is None
+            assert "without a valid result" in requeued.error
+        finally:
+            svc.shutdown()
+
     def test_stale_heartbeat_worker_is_killed_and_retried_to_failed(self, tmp_path):
         svc = Service(
             tmp_path / "svc",
-            quick_config(
-                workers=1, stale_after_s=0.2, dispatch_grace_s=0.5,
-            ),
+            quick_config(workers=1, stale_after_s=0.2),
         )
         try:
             # A job big enough to outlive the watchdog, with a heartbeat
@@ -241,7 +298,7 @@ class TestRecovery:
             if (svc.store.job_dir(job.id) / "job.ckpt").exists():
                 break
             time.sleep(0.005)
-        process = svc._children.get(job.id)
+        process = svc.pool.process(job.id)
         if process is not None:
             process.kill()
             process.join(timeout=5.0)
@@ -259,6 +316,35 @@ class TestRecovery:
             recovered.shutdown()
 
 
+class TestAttemptResume:
+    def test_retry_resumes_the_killed_attempts_checkpoint(self, tmp_path):
+        """Attempt 2 continues from attempt 1's last checkpoint, bit-identically."""
+        spec = validate_spec({**FAST, "checkpoint_every": 5, "trace": "jsonl"})
+        expected = worker.execute_job(spec, tmp_path / "clean")["stats"]
+
+        jobdir = tmp_path / "J000001"
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        script = (
+            "import json, sys; sys.path.insert(0, %r)\n"
+            "from repro.service.worker import execute_job\n"
+            "execute_job(json.loads(sys.argv[1]), sys.argv[2], attempt=1)\n"
+            "raise SystemExit('unreachable: fault must have tripped')\n"
+        ) % src
+        killed = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(spec), str(jobdir)],
+            env={**os.environ, "REPRO_FAULT": "ensemble:after_checkpoint:4"},
+            capture_output=True, text=True,
+        )
+        assert killed.returncode == EXIT_FAULT_INJECTED, killed.stderr
+
+        result = worker.execute_job(spec, jobdir, attempt=2)
+        start = read_trace(jobdir / "trace.jsonl")[0]
+        assert start["kind"] == "run_start"
+        assert start["params"]["resumed_from"] == 20  # the 4th checkpoint
+        assert result["resumed"] is True
+        assert result["stats"] == expected
+
+
 class TestShutdown:
     def test_shutdown_requeues_without_consuming_a_retry(self, tmp_path):
         svc = Service(tmp_path / "svc", quick_config(workers=1))
@@ -268,7 +354,7 @@ class TestShutdown:
              "checkpoint_every": 10**9}
         )
         deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and job.id not in svc._children:
+        while time.monotonic() < deadline and job.id not in svc.pool:
             svc.tick()
             time.sleep(0.005)
         svc.shutdown()
