@@ -78,8 +78,9 @@ def bench_workers(default: int = 1) -> int:
 
     ``python -m repro bench --workers N`` exports ``REPRO_BENCH_WORKERS``;
     this reads it back (clamped to >= 1, ``default`` on absence or parse
-    failure).  Worker count never changes results — only shard count and
-    seed do — so benchmarks are free to vary it for timing comparisons.
+    failure).  Worker count never changes results — on the keyed engines
+    neither does shard count; only the seed does — so benchmarks are free
+    to vary it for timing comparisons.
     """
     raw = os.environ.get("REPRO_BENCH_WORKERS")
     if not raw:

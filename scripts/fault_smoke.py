@@ -31,12 +31,15 @@ instead of raising), and the resumed run must overwrite it with a valid
 
 With ``--parallel`` the scenario instead runs through the supervised
 worker pool (:mod:`repro.execution.supervisor`): the baseline is computed
-in-process at ``workers=1``, then a subprocess runs the same ensemble at
-``workers=2`` with ``REPRO_FAULT`` armed on shard 1 only — the injected
-kill lands inside one worker, the supervisor retries that shard from its
-own checkpoint, and the subprocess exits 0 with statistics that must be
-**bit-identical** to the unfaulted workers=1 baseline (plus at least one
-recorded retry, and a merged trace that validates strictly).
+in-process at ``workers=1`` and must equal an in-process serial
+``convergence_ensemble`` of the same spec (the supervised loss-accounting
+fields aside).  Then a subprocess runs the same ensemble at ``workers=2``
+with ``REPRO_FAULT`` armed on shard 1 only — the injected kill lands
+inside one worker, the supervisor retries that shard from its own
+checkpoint, and the subprocess exits 0 with statistics that must be
+**bit-identical** to the unfaulted baseline, and so to the serial call
+(plus at least one recorded retry, and a merged trace that validates
+strictly).
 
 Usage:
     PYTHONPATH=src python scripts/fault_smoke.py ensemble:after_replica:2
@@ -158,6 +161,22 @@ def _run_ensemble(
     return _stats_dict(stats)
 
 
+def _run_serial_ensemble() -> dict:
+    """The scenario as one serial ``convergence_ensemble`` call, in-process."""
+    from repro.analysis.ensemble import convergence_ensemble
+    from repro.dynamics.config import wrong_consensus_configuration
+    from repro.dynamics.rng import make_rng
+    from repro.protocols import voter
+
+    return _stats_dict(convergence_ensemble(
+        voter(1),
+        wrong_consensus_configuration(SCENARIO["n"], SCENARIO["z"]),
+        SCENARIO["max_rounds"],
+        make_rng(SCENARIO["seed"]),
+        SCENARIO["replicas"],
+    ))
+
+
 def _run_parallel_ensemble(outdir: pathlib.Path, workers: int) -> dict:
     """Run the scenario through the supervised pool; return stats + accounting."""
     from repro.dynamics.config import wrong_consensus_configuration
@@ -259,9 +278,10 @@ def _main_parallel(args, workdir: pathlib.Path) -> int:
         )
         return 1
 
-    # 1. Baseline: in-process, workers=1, unfaulted.  The faulted run below
-    #    uses workers=2, so a matching result also witnesses worker-count
-    #    invariance.
+    # 1. Baseline: in-process, workers=1, unfaulted.  It must equal the
+    #    serial call field for field, the supervised loss accounting aside.
+    #    The faulted run below uses workers=2, so a matching result also
+    #    witnesses worker-count invariance.
     baseline_dir = workdir / "baseline"
     baseline_dir.mkdir()
     for var in ("REPRO_FAULT", "REPRO_FAULT_SHARD", "REPRO_FAULT_STICKY"):
@@ -269,6 +289,18 @@ def _main_parallel(args, workdir: pathlib.Path) -> int:
     baseline = _run_parallel_ensemble(baseline_dir, workers=1)
     if baseline["supervision"] != {"retries": 0, "timeouts": 0, "failed_shards": 0}:
         return fail(f"baseline run was not clean: {baseline['supervision']}")
+    def without_loss_accounting(stats: dict) -> dict:
+        return {key: value for key, value in stats.items()
+                if key not in ("failed_shards", "attempted_trials")}
+
+    serial = without_loss_accounting(_run_serial_ensemble())
+    pooled = without_loss_accounting(baseline["stats"])
+    if pooled != serial:
+        return fail(
+            "workers=1 pool stats differ from the serial convergence_ensemble:\n"
+            f"  serial: {json.dumps(serial, sort_keys=True)}\n"
+            f"  pool:   {json.dumps(pooled, sort_keys=True)}"
+        )
 
     # 2. Faulted: a subprocess runs the pool at workers=2 with the fault
     #    armed on shard 1 only.  The kill lands inside one worker; the
@@ -298,7 +330,7 @@ def _main_parallel(args, workdir: pathlib.Path) -> int:
         )
 
     # 3. The recovered statistics must be bit-identical to the unfaulted
-    #    workers=1 baseline.
+    #    workers=1 baseline (and so to the serial call).
     if document["stats"] != baseline["stats"]:
         return fail(
             "recovered stats differ from the unfaulted baseline:\n"
@@ -316,9 +348,10 @@ def _main_parallel(args, workdir: pathlib.Path) -> int:
     print(
         f"fault_smoke[--parallel {args.fault}]: PASS — worker killed at the "
         f"crashpoint, shard retried ({supervision['retries']} retries), "
-        f"stats bit-identical to the workers=1 baseline, merged trace "
-        f"valid ({len(records)} records, {shard_rounds} resumed-shard "
-        f"rounds, median={baseline['stats']['median']})"
+        f"stats bit-identical to the workers=1 baseline and the serial "
+        f"call, merged trace valid ({len(records)} records, "
+        f"{shard_rounds} resumed-shard rounds, "
+        f"median={baseline['stats']['median']})"
     )
     return 0
 

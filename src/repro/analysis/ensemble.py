@@ -213,8 +213,9 @@ def convergence_ensemble(
     returned statistics then carry ``failed_shards`` / ``attempted_trials``
     so shard loss degrades the report rather than silently shrinking the
     sample (see the module docstring of the supervisor for the fault
-    model).  The supervised stream differs from the serial one — compare
-    supervised runs only against supervised runs with the same ``shards``.
+    model).  On the keyed engines the supervised times equal the serial
+    ones at any ``workers`` and ``shards``, so the statistics match the
+    serial call's field for field, loss accounting aside.
     """
     with span(recorder, "convergence_ensemble") as timing:
         if workers is not None or shards is not None or supervisor is not None:

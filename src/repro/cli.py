@@ -397,14 +397,16 @@ def _run_ensemble(
 ) -> int:
     """Body of ``repro run`` for ensembles (``--replicas``/``--workers``).
 
-    Runs the supervised executor (even at ``--workers 1``, so the stream —
-    a function of seed and shard count only — is identical whatever worker
-    count a later rerun picks).  With ``--checkpoint`` each shard
-    checkpoints to ``PATH.shard<k>``; re-invoking the *same* command after
-    a crash or Ctrl-C resumes every shard from its own file (``repro
-    resume`` stays single-run-only).  Exit codes: 0 all shards survived
-    and every trial converged, 2 some trials were censored, 7 shards were
-    lost past their retry budget (partial results), 5 interrupted.
+    Runs the supervised executor, even at ``--workers 1`` (one shard by
+    default); each shard runs its range of the serial stream, so on the
+    keyed engines the statistics do not depend on ``--workers`` or
+    ``--shards``.  With ``--checkpoint`` each shard checkpoints to
+    ``PATH.shard<k>``; re-invoking the *same* command after a crash or
+    Ctrl-C resumes every shard from its own file (``repro resume`` stays
+    single-run-only), and shard files from another seed or shard layout
+    are refused.  Exit codes: 0 all shards survived and every trial
+    converged, 2 some trials were censored, 7 shards were lost past their
+    retry budget (partial results), 5 interrupted.
     """
     from repro.execution.supervisor import (
         SupervisorConfig,
@@ -1008,13 +1010,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the ensemble (results depend only on "
-             "seed and --shards, never on N)",
+        help="worker processes for the ensemble (changes wall clock only; "
+             "default 1)",
     )
     run.add_argument(
         "--shards", type=int, default=None, metavar="K",
-        help="fixed shard count (part of the random-stream identity; "
-             "default min(replicas, 8))",
+        help="contiguous replica ranges the ensemble is cut into, the unit "
+             "of retries, checkpoints and traces (changes wall clock only "
+             "on the keyed engines; default min(replicas, workers))",
     )
     run.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",

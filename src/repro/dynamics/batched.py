@@ -55,7 +55,7 @@ from scipy import special
 
 from repro.core.protocol import Protocol
 from repro.dynamics.config import validate_count, validate_counts
-from repro.dynamics.rng import SeedLike, spawn_seed_sequences
+from repro.dynamics.rng import SeedLike, _as_seed_sequence, _child_keys
 from repro.telemetry import NULL_RECORDER, Recorder, current_span
 
 __all__ = [
@@ -153,15 +153,19 @@ def replica_keys(seed: SeedLike, replicas: int) -> np.ndarray:
     >>> np.array_equal(replica_keys(7, 3), replica_keys(7, 8)[:3])
     True
 
+    The keys are computed over the array of spawn indices with
+    ``SeedSequence``'s own uint32 arithmetic — bit for bit what the
+    children's ``generate_state(1, np.uint64)[0]`` gives, without one
+    ``SeedSequence`` object per replica.
+
     When ``seed`` is a ``Generator`` it contributes entropy from its own
     stream (advancing it), exactly as :func:`~repro.dynamics.rng.spawn_rngs`
-    would — the two derivations consume the generator identically.
+    would — the two derivations consume the generator identically.  A
+    ``SeedSequence`` passed as ``seed`` is *not* advanced (numpy makes
+    ``n_children_spawned`` read-only): two calls with it return the same
+    keys, starting at its next unspawned child.
     """
-    children = spawn_seed_sequences(seed, replicas)
-    return np.array(
-        [child.generate_state(1, np.uint64)[0] for child in children],
-        dtype=np.uint64,
-    )
+    return _child_keys(_as_seed_sequence(seed), replicas)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:

@@ -60,7 +60,13 @@ from repro.dynamics.scenarios import (
     scenario_target,
 )
 from repro.execution.shutdown import GracefulExit
-from repro.telemetry import NULL_RECORDER, Recorder, run_provenance, span
+from repro.telemetry import (
+    NULL_RECORDER,
+    Recorder,
+    rng_provenance,
+    run_provenance,
+    span,
+)
 
 __all__ = [
     "RunResult",
@@ -116,6 +122,8 @@ def simulate(
     ``checkpoint`` enables durable execution: atomic checkpoints at the
     cadence, a final one (plus :class:`GracefulExit`) after SIGINT/SIGTERM,
     and bit-identical resume when the checkpointer carries a loaded state.
+    The checkpoint signature hashes ``rng``'s entry state, so a resume
+    under another seed is refused.
     """
     if not protocol.satisfies_boundary_conditions(tolerance=1e-12):
         raise ValueError(
@@ -128,7 +136,7 @@ def simulate(
         signature = run_signature(
             "simulate", protocol, rng,
             n=config.n, z=config.z, x0=config.x0, max_rounds=max_rounds,
-            record=bool(record),
+            record=bool(record), entry_state=rng_provenance(rng)["state_hash"],
         )
         resumed = checkpoint.begin("simulate", signature)
     target = config.target_count
@@ -241,6 +249,7 @@ def simulate_ensemble(
     supervisor=None,
     engine: Optional[str] = None,
     scenario=None,
+    first_replica: int = 0,
 ) -> np.ndarray:
     """Convergence times of ``replicas`` independent runs, advanced in lock-step.
 
@@ -271,18 +280,26 @@ def simulate_ensemble(
     active mask, and the bit-generator state — at the cadence and on
     shutdown; a resumed ensemble replays the identical random stream, so
     its times (and any :func:`~repro.analysis.ensemble.summarize_times`
-    statistics over them) are bit-identical to an uninterrupted run.
+    statistics over them) are bit-identical to an uninterrupted run.  The
+    checkpoint signature hashes ``rng``'s entry state, so a resume under
+    another seed is refused.
+
+    ``first_replica`` (keyed families only) makes the call run a slice of
+    a larger serial ensemble: replica ``j`` of the result is replica
+    ``first_replica + j`` of ``simulate_ensemble(..., rng, first_replica +
+    replicas)``.  The supervisor's shards run such slices.
 
     Any of ``workers=`` / ``shards=`` / ``supervisor=`` switches to the
     sharded worker-pool executor (:func:`repro.execution.supervisor.
-    run_supervised_ensemble`): the ensemble splits into a fixed shard
-    count seeded via ``spawn_rngs``, so the times for a given ``(rng,
-    shards)`` pair are bit-identical at any worker count — but follow a
-    *different* (equally valid) stream than this function's serial
-    lock-step path.  ``checkpoint`` then contributes its path, cadence,
-    and guard to per-shard checkpoint files (``<path>.shard<k>``), and
-    ``recorder`` observes the supervisor's provenance, ``supervise`` span,
-    and summary rather than per-round records.  Shards that fail past
+    run_supervised_ensemble`): each shard runs a contiguous slice of this
+    function's serial stream, so for the keyed engine families the times
+    are bit-identical to the serial call at any shard and worker count
+    (``lockstep`` shards draw from ``spawn_rngs`` generators instead, a
+    function of ``(rng, shards)``).  ``checkpoint`` then contributes its
+    path, cadence, and guard to per-shard checkpoint files
+    (``<path>.shard<k>``), and ``recorder`` observes the supervisor's
+    provenance, ``supervise`` span, and summary rather than per-round
+    records.  Shards that fail past
     their retry budget are *dropped* from the returned array (with a
     ``RuntimeWarning``) — use ``run_supervised_ensemble`` directly when
     the loss accounting matters.
@@ -306,6 +323,9 @@ def simulate_ensemble(
             run_supervised_ensemble,
             supervisor_from,
         )
+
+        if first_replica:
+            raise ValueError("first_replica applies to a serial call only")
 
         result = run_supervised_ensemble(
             protocol, config, max_rounds, rng, replicas,
@@ -345,26 +365,19 @@ def simulate_ensemble(
             f"scenarios require a keyed engine family (loop/batched), "
             f"not {resolved_engine!r}"
         )
+    if first_replica < 0 or (first_replica and family not in ("batched", "loop")):
+        raise ValueError(
+            f"first_replica must be >= 0 and needs a keyed engine family "
+            f"(loop/batched), got {first_replica} under {resolved_engine!r}"
+        )
     settle = scenario.settle_round(max_rounds) if scenario is not None else 0
     start_round = 0
     resumed = None
     if checkpoint is not None:
-        # The signature keys on the engine *family*: the random stream (and
-        # with it the result) is a function of the family, so a run
-        # checkpointed under ``batched+numba`` resumes under ``batched``.
-        # The scenario spec joins the signature only when one is active, so
-        # pre-scenario checkpoints stay valid and a resume under a different
-        # hostile world is refused.
-        signature_params = dict(
-            n=config.n, z=config.z, x0=config.x0,
-            max_rounds=max_rounds, replicas=replicas, engine=family,
-        )
-        if scenario is not None:
-            signature_params["scenario"] = scenario.spec()
-        signature = run_signature(
-            "simulate_ensemble", protocol, rng, **signature_params
-        )
-        resumed = checkpoint.begin("simulate_ensemble", signature)
+        resumed = checkpoint.begin("simulate_ensemble", _ensemble_signature(
+            protocol, config, max_rounds, rng, replicas, family, scenario,
+            first_replica,
+        ))
         if resumed is not None and resumed.complete:
             return decode_times(resumed.payload["times"])
     # Per-replica keys are derived from the generator's *entry* state —
@@ -374,7 +387,7 @@ def simulate_ensemble(
     # the post-derivation state, constant across the whole run.
     keys = None
     if family in ("batched", "loop"):
-        keys = replica_keys(rng, replicas)
+        keys = replica_keys(rng, first_replica + replicas)[first_replica:]
     target = config.target_count
     if resumed is not None:
         counts = np.asarray(resumed.payload["counts"], dtype=np.int64)
@@ -409,6 +422,8 @@ def simulate_ensemble(
             n=config.n, z=config.z, x0=config.x0,
             max_rounds=max_rounds, replicas=replicas, engine=family,
         )
+        if first_replica:
+            params["first_replica"] = first_replica
         if scenario is not None:
             params["scenario"] = scenario.spec()
             params["settle_round"] = settle
@@ -515,6 +530,30 @@ def simulate_ensemble(
             summary.update(recovery_summary(times, settle))
         recorder.run_finished(summary)
     return times
+
+
+def _ensemble_signature(
+    protocol, config, max_rounds, rng, replicas, family, scenario=None,
+    first_replica=0,
+) -> str:
+    """The checkpoint signature of one :func:`simulate_ensemble` call.
+
+    Taken with ``rng`` at the call's entry state, whose hash pins the seed.
+    It keys on the engine *family*: the random stream (and with it the
+    result) is a function of the family, so a run checkpointed under
+    ``batched+numba`` resumes under ``batched``.  The scenario spec joins
+    only when one is active.  The supervisor computes each shard's
+    signature with this function to refuse a foreign shard checkpoint
+    before it forks.
+    """
+    params = dict(
+        n=config.n, z=config.z, x0=config.x0, max_rounds=max_rounds,
+        replicas=replicas, first_replica=first_replica, engine=family,
+        entry_state=rng_provenance(rng)["state_hash"],
+    )
+    if scenario is not None:
+        params["scenario"] = scenario.spec()
+    return run_signature("simulate_ensemble", protocol, rng, **params)
 
 
 def recovery_summary(times: np.ndarray, settle: int) -> dict:

@@ -207,7 +207,11 @@ def load_checkpoint(path: Union[str, Path]) -> CheckpointState:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no checkpoint at {path}")
-    return CheckpointState.from_json(path.read_text(), source=str(path))
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as error:
+        raise CheckpointError(f"{path} is not UTF-8 text: {error}") from error
+    return CheckpointState.from_json(text, source=str(path))
 
 
 # ----------------------------------------------------------------------

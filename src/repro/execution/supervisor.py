@@ -6,11 +6,15 @@ process — a single stall or kill loses everything, and wall-clock does not
 scale with cores.  This module splits an ensemble into **shards** and runs
 each shard in its own worker process under supervision:
 
-* **Worker-count invariance.**  The shard count is fixed up front
-  (independent of the worker count) and each shard's generator comes from
-  one :func:`repro.dynamics.rng.spawn_rngs` call in the parent, so the
-  random streams depend only on ``(seed, shards)`` — results for a given
-  seed are byte-identical whether run with 1 or 16 workers.
+* **Shape-free results.**  Shard ``k`` runs replicas ``[lo_k, hi_k)`` of
+  the keyed stream the serial ``simulate_ensemble(rng, replicas)`` runs
+  (its ``first_replica=lo_k`` slice, from a copy of the caller's
+  generator at its entry state), so for the keyed engine families the
+  times equal the serial call's bit for bit at any shard and worker
+  count.  The shape — ``shards``, default one per worker — is a
+  performance choice.  ``lockstep`` has no keys to slice: its shards draw
+  from one :func:`repro.dynamics.rng.spawn_rngs` call, so its results are
+  a function of ``(seed, shards)``.
 * **Supervision.**  Each shard attempt runs in a
   :class:`~repro.execution.pool.WorkerPool` worker (the loop the job
   service shares) with an optional wall-clock deadline; a worker that
@@ -24,10 +28,12 @@ each shard in its own worker process under supervision:
   CLI exits :data:`~repro.execution.shutdown.EXIT_SHARDS_LOST` for partial
   results.
 * **Durability.**  Each shard checkpoints to its own file
-  (``<base>.shard<k>``) through the PR-4 machinery, so a killed worker's
-  retry resumes its own shard checkpoint and replays the identical stream
-  — the fault-smoke harness (``scripts/fault_smoke.py --parallel``) proves
-  kill → retry → bit-identical stats.
+  (``<base>.shard<k>``), so a killed worker's retry resumes its own shard
+  checkpoint and replays the identical stream — the fault-smoke harness
+  (``scripts/fault_smoke.py --parallel``) proves kill → retry →
+  statistics equal to the serial call's.  A shard file's signature names
+  its replica range and the caller's entry state, and a file left by
+  another seed or shard layout is refused before any worker starts.
 * **Telemetry.**  Workers write timing-free per-shard JSONL traces which
   the parent merges deterministically (rounds sorted by ``(t, shard)``,
   every shard record tagged with its ``shard`` index) into one trace that
@@ -43,6 +49,7 @@ the quarantine/degraded path is exercised deterministically.
 
 from __future__ import annotations
 
+import copy
 import os
 import tempfile
 import time
@@ -54,12 +61,14 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.dynamics.rng import spawn_rngs
+from repro.dynamics.rng import spawn_rngs, spawn_seed_sequences
 from repro.execution import faults
 from repro.execution.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
+    CheckpointError,
     decode_times,
     encode_times,
+    load_checkpoint,
 )
 from repro.execution.pool import (
     Ending,
@@ -88,7 +97,6 @@ from repro.telemetry.recorder import TRACE_SCHEMA_VERSION
 from repro.telemetry.resources import sample_resources
 
 __all__ = [
-    "DEFAULT_SHARD_COUNT",
     "DEFAULT_MAX_RETRIES",
     "FAULT_SHARD_ENV_VAR",
     "FAULT_STICKY_ENV_VAR",
@@ -101,9 +109,6 @@ __all__ = [
     "summarize_supervised",
     "supervisor_from",
 ]
-
-DEFAULT_SHARD_COUNT = 8
-"""Default number of shards (clamped to the replica count)."""
 
 DEFAULT_MAX_RETRIES = 2
 """Default retries per shard before it is quarantined as failed."""
@@ -121,10 +126,13 @@ class SupervisorConfig:
 
     Attributes:
         workers: concurrent worker processes.  Changing this never changes
-            results — only shard count and seed do.
-        shards: fixed shard count (default: ``min(replicas, 8)``).  This
-            *is* part of the random-stream identity: rerun with the same
-            value to reproduce.
+            the times — only wall clock.
+        shards: how many contiguous replica ranges the ensemble is cut into
+            (default ``min(replicas, workers)``).  For the keyed engines
+            it changes wall clock only; it sets the unit of retries,
+            ``REPRO_FAULT_SHARD``, per-shard checkpoints and per-shard
+            traces, so the merged trace's bytes depend on it.  ``lockstep``
+            results depend on it.
         timeout_s: per-shard-attempt wall-clock budget; an overrunning
             worker is killed and the attempt counts as a failure.  The
             ``REPRO_BENCH_TIMEOUT`` budget is folded in — the tighter of
@@ -233,7 +241,7 @@ def shard_sizes(replicas: int, shards: int) -> List[int]:
     """Balanced deterministic partition of ``replicas`` into ``shards``.
 
     The first ``replicas % shards`` shards get the extra replica, so the
-    partition (and with it every shard's random stream) is a pure function
+    partition (and with it every shard's replica range) is a pure function
     of the two counts.
 
     >>> shard_sizes(10, 4)
@@ -290,6 +298,7 @@ class _ShardTask:
     config: object
     max_rounds: int
     rng: np.random.Generator
+    first_replica: int
     checkpoint_path: Optional[Path]
     checkpoint_every: int
     recording: Recording
@@ -300,6 +309,7 @@ class _ShardTask:
 def _shard_worker(task: _ShardTask) -> dict:
     """One shard attempt: an ordinary serial ``simulate_ensemble`` call.
 
+    It runs the shard's slice of the serial stream (``first_replica``).
     Every existing crashpoint (``ensemble:after_round``, ...) fires inside
     the worker, and a retry resumes the shard's own checkpoint.
     """
@@ -313,6 +323,7 @@ def _shard_worker(task: _ShardTask) -> dict:
             checkpoint=open_checkpoint(task.checkpoint_path, task.checkpoint_every),
             engine=task.engine,
             scenario=task.scenario,
+            first_replica=task.first_replica,
         )
     return {"times": encode_times(times)}
 
@@ -363,6 +374,29 @@ def _shard_path(base, index: int) -> Optional[Path]:
     return base.with_name(f"{base.name}.shard{index}")
 
 
+def _refuse_foreign_checkpoints(base, signatures: List[str]) -> None:
+    """Raise :class:`CheckpointError` for a shard file another run wrote.
+
+    ``signatures[k]`` is the signature shard ``k`` will run under.  A file
+    whose signature differs came from another seed, shard layout or input,
+    and resuming it would return that run's times, so it is refused
+    before any worker starts.  A missing or unreadable file is left to the
+    shard, which starts afresh.
+    """
+    for index, signature in enumerate(signatures):
+        path = _shard_path(base, index)
+        try:
+            state = load_checkpoint(path)
+        except CheckpointError:
+            continue
+        if (state.runner, state.signature) != ("simulate_ensemble", signature):
+            raise CheckpointError(
+                f"shard checkpoint {path} belongs to a different run (another "
+                "seed, shard layout or input); remove it or rerun the "
+                "command that wrote it"
+            )
+
+
 def run_supervised_ensemble(
     protocol,
     config,
@@ -385,14 +419,16 @@ def run_supervised_ensemble(
 ) -> SupervisedTimes:
     """Run ``replicas`` independent chains sharded over a worker pool.
 
-    The ensemble is split by :func:`shard_sizes` into ``supervisor.shards``
-    shards whose generators come from one ``spawn_rngs(rng, shards)`` call,
-    so the result is a function of ``(seed, shards, engine)`` alone — the
-    worker count only changes wall-clock.  Each shard runs the stock serial
-    :func:`~repro.dynamics.run.simulate_ensemble` in a child process, so
-    each shard steps its replicas as one array under the selected engine;
-    see the module docstring for the supervision, degradation, and
-    telemetry contracts.
+    The ensemble is cut by :func:`shard_sizes` into ``supervisor.shards``
+    contiguous replica ranges (default one per worker).  Each shard runs
+    the stock serial :func:`~repro.dynamics.run.simulate_ensemble` on its
+    range in a child process, stepping its replicas as one array under
+    the selected engine.  For the keyed engine families the times equal
+    the serial ``simulate_ensemble(protocol, config, max_rounds, rng,
+    replicas)`` bit for bit at every shard and worker count, and the
+    caller's generator is advanced as that call advances it; ``lockstep``
+    times are a function of ``(seed, shards)``.  See the module docstring
+    for the supervision, degradation, and telemetry contracts.
 
     Args:
         supervisor: pool configuration (default :class:`SupervisorConfig`).
@@ -408,7 +444,10 @@ def run_supervised_ensemble(
         checkpoint_base: base path for per-shard checkpoints
             (``<base>.shard<k>``).  Shards whose checkpoint already exists
             resume it, so re-invoking after a crash (or ``GracefulExit``)
-            continues where each shard left off.
+            continues where each shard left off.  A file written under
+            another seed, shard layout or input raises
+            :class:`~repro.execution.checkpoint.CheckpointError` before
+            any worker starts.
         checkpoint_every: cadence forwarded to every shard checkpointer.
         trace_path: write one merged, deterministically-ordered JSONL
             trace here (per-shard traces are merged and removed).
@@ -458,17 +497,17 @@ def run_supervised_ensemble(
             f"scenarios require a keyed engine family (batched/loop), got {family!r}"
         )
     settle = scenario.settle_round(max_rounds) if scenario is not None else 0
-    shards = cfg.shards if cfg.shards is not None else min(replicas, DEFAULT_SHARD_COUNT)
+    shards = cfg.shards if cfg.shards is not None else min(replicas, cfg.workers)
     sizes = shard_sizes(replicas, shards)
 
     recording = recorder.enabled
     provenance = None
     if recording or trace_path is not None:
-        # Captured before spawn_rngs consumes the parent stream, so the
+        # Captured before the caller's generator is advanced, so the
         # provenance state hash pins the whole shard derivation.
-        # ``workers`` is deliberately absent: results (and the merged
-        # trace) are a function of (seed, shards) only, so the provenance
-        # must not vary with the worker count.
+        # ``workers`` is deliberately absent: the merged trace is a
+        # function of (seed, shards) only, so the provenance must not
+        # vary with the worker count.
         provenance_params = dict(
             n=config.n, z=config.z, x0=config.x0, max_rounds=max_rounds,
             replicas=replicas, shards=shards, engine=family,
@@ -478,11 +517,31 @@ def run_supervised_ensemble(
         provenance = run_provenance(
             "supervised_ensemble", protocol, rng, **provenance_params,
         )
-    # Backoff jitter key, captured before ``spawn_rngs`` consumes the parent
-    # stream: the retry schedule becomes a pure function of (run seed, shard
+    # Backoff jitter key, captured before the parent stream is consumed:
+    # the retry schedule becomes a pure function of (run seed, shard
     # index), reproducible across reruns and independent of worker count.
     backoff_key = rng_provenance(rng)["state_hash"]
-    shard_rngs = spawn_rngs(rng, shards)
+    if family in ("batched", "loop"):
+        # Every shard derives its keys from the caller's entry state and
+        # keeps its own range; the caller's generator then advances as
+        # the serial call's key derivation advances it.
+        entry_rng = copy.deepcopy(rng)
+        shard_rngs = [entry_rng] * shards
+        firsts = [sum(sizes[:k]) for k in range(shards)]
+        spawn_seed_sequences(rng, 0)
+    else:  # lockstep shares no keys: one generator per shard
+        shard_rngs = spawn_rngs(rng, shards)
+        firsts = [0] * shards
+    if checkpoint_base is not None:
+        from repro.dynamics.run import _ensemble_signature
+
+        _refuse_foreign_checkpoints(checkpoint_base, [
+            _ensemble_signature(
+                protocol, config, max_rounds, shard_rngs[k], sizes[k], family,
+                scenario, firsts[k],
+            )
+            for k in range(shards)
+        ])
     timeout = _effective_timeout(cfg.timeout_s)
 
     hb_base = heartbeat_base if heartbeat_base is not None else checkpoint_base
@@ -557,6 +616,7 @@ def run_supervised_ensemble(
             config=config,
             max_rounds=max_rounds,
             rng=shard_rngs[index],
+            first_replica=firsts[index],
             checkpoint_path=_shard_path(checkpoint_base, index),
             checkpoint_every=checkpoint_every,
             # Timing-free traces, so the merged trace is a pure function

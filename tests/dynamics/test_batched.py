@@ -87,6 +87,42 @@ class TestReplicaKeys:
         expected = [child.generate_state(1, np.uint64)[0] for child in children]
         assert replica_keys(123, 3).tolist() == expected
 
+    @staticmethod
+    def _reference(seed, count):
+        """One ``SeedSequence`` child per key, as the spawn tree defines them."""
+        return [c.generate_state(1, np.uint64)[0] for c in spawn_seed_sequences(seed, count)]
+
+    def test_matches_spawn_tree_on_many_roots(self):
+        picks = np.random.default_rng(2024)
+        for _ in range(100):  # fresh OS-entropy roots
+            root = np.random.SeedSequence()
+            assert replica_keys(root, 40).tolist() == self._reference(root, 40)
+        for index in range(30):  # spawned roots with earlier children
+            root = np.random.SeedSequence(
+                int(picks.integers(0, 2**62)),
+                spawn_key=tuple(int(w) for w in picks.integers(0, 2**40, size=index % 4)),
+            )
+            root.spawn(int(picks.integers(0, 50)))
+            assert replica_keys(root, 40).tolist() == self._reference(root, 40)
+        for seed in range(30):  # Generator seeds, consumed identically
+            ours, theirs = make_rng(seed), make_rng(seed)
+            assert replica_keys(ours, 40).tolist() == self._reference(theirs, 40)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        for entropy in (0, 2**32, 2**64 + 5, [1, 2, 3, 4, 5, 6],
+                        np.arange(7, dtype=np.uint32)):
+            root = np.random.SeedSequence(entropy)
+            assert replica_keys(root, 40).tolist() == self._reference(root, 40)
+        root = np.random.SeedSequence(123, pool_size=8)
+        assert replica_keys(root, 40).tolist() == self._reference(root, 40)
+
+    def test_seed_sequence_is_not_advanced(self):
+        root = np.random.SeedSequence(5)
+        root.spawn(3)
+        first = replica_keys(root, 4)
+        assert root.n_children_spawned == 3
+        assert np.array_equal(replica_keys(root, 4), first)
+        assert first.tolist() == self._reference(root, 4)  # children 3..6
+
     def test_generator_seed_is_deterministic(self):
         assert np.array_equal(
             replica_keys(make_rng(9), 5), replica_keys(make_rng(9), 5)
@@ -235,6 +271,8 @@ class TestBitIdentity:
         ]
         np.testing.assert_array_equal(results[0].times, results[1].times)
         assert all(r.failed_shards == 0 for r in results)
+        serial = simulate_ensemble(voter(1), config, 2000, make_rng(31), 6, engine="loop")
+        np.testing.assert_array_equal(results[1].times, serial)
 
 
 def _two_call_step(protocol, n, z, counts, keys, t):

@@ -280,6 +280,7 @@ class TestComposedBitIdentity:
             )
 
         np.testing.assert_array_equal(run(1), run(2))
+        np.testing.assert_array_equal(run(2), self._times("batched"))
 
     def test_interrupt_resume_bit_identical(self, tmp_path):
         from repro.execution import Checkpointer, GracefulExit

@@ -140,6 +140,29 @@ class TestCheckpointer:
                 checkpoint=Checkpointer.resume(path),
             )
 
+    def test_resume_under_another_seed_refused(self, tmp_path):
+        config = wrong_consensus_configuration(64, 1)
+        ensemble_path, run_path = tmp_path / "e.ckpt", tmp_path / "s.ckpt"
+        simulate_ensemble(
+            voter(1), config, 3000, make_rng(1), 8,
+            checkpoint=Checkpointer(ensemble_path, every=5),
+        )
+        simulate(
+            voter(1), config, 3000, make_rng(1),
+            checkpoint=Checkpointer(run_path, every=5),
+        )
+        # Complete checkpoints of seed 1 must not replay as seed 2's result.
+        with pytest.raises(CheckpointError, match="different run"):
+            simulate_ensemble(
+                voter(1), config, 3000, make_rng(2), 8,
+                checkpoint=Checkpointer.resume(ensemble_path, every=5),
+            )
+        with pytest.raises(CheckpointError, match="different run"):
+            simulate(
+                voter(1), config, 3000, make_rng(2),
+                checkpoint=Checkpointer.resume(run_path, every=5),
+            )
+
 
 class _StopAfterPolls:
     """Guard stand-in whose stop request fires after N should_stop polls."""

@@ -15,9 +15,9 @@ from repro.analysis.ensemble import convergence_ensemble, summarize_times
 from repro.dynamics.config import Configuration, wrong_consensus_configuration
 from repro.dynamics.rng import make_rng
 from repro.dynamics.run import simulate_ensemble
+from repro.execution.checkpoint import CheckpointError
 from repro.execution.shutdown import GracefulExit
 from repro.execution.supervisor import (
-    DEFAULT_SHARD_COUNT,
     SupervisorConfig,
     _effective_timeout,
     run_supervised_ensemble,
@@ -36,13 +36,13 @@ MAX_ROUNDS = 3000
 REPLICAS = 8
 
 
-def _run(workers, shards=4, seed=7, **kwargs):
+def _run(workers, shards=4, seed=7, rng=None, **kwargs):
     supervisor = SupervisorConfig(
         workers=workers, shards=shards, backoff_base_s=0.01,
         **kwargs.pop("supervisor_kwargs", {}),
     )
     return run_supervised_ensemble(
-        PROTOCOL, CONFIG, MAX_ROUNDS, make_rng(seed), REPLICAS,
+        PROTOCOL, CONFIG, MAX_ROUNDS, rng or make_rng(seed), REPLICAS,
         supervisor=supervisor, **kwargs,
     )
 
@@ -75,19 +75,31 @@ class TestWorkerCountInvariance:
         assert one.shard_sizes == four.shard_sizes
         assert one.failed_shards == four.failed_shards == 0
 
-    def test_shard_count_is_part_of_the_stream_identity(self):
-        assert not np.array_equal(
+    def test_shard_count_leaves_times_unchanged(self):
+        assert np.array_equal(
             _run(workers=1, shards=2).times,
             _run(workers=1, shards=4).times,
             equal_nan=True,
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 8])
+    def test_supervised_equals_serial(self, shards, workers):
+        serial_rng, supervised_rng = make_rng(7), make_rng(7)
+        serial = simulate_ensemble(
+            PROTOCOL, CONFIG, MAX_ROUNDS, serial_rng, REPLICAS
+        )
+        result = _run(workers=workers, shards=shards, rng=supervised_rng)
+        assert np.array_equal(result.times, serial, equal_nan=True)
+        # The caller's generator advances as the serial call advances it.
+        assert supervised_rng.bit_generator.state == serial_rng.bit_generator.state
 
     def test_default_shards_clamped_to_replicas(self):
         result = run_supervised_ensemble(
             PROTOCOL, CONFIG, MAX_ROUNDS, make_rng(7), 3,
             supervisor=SupervisorConfig(workers=2),
         )
-        assert len(result.shard_sizes) == min(3, DEFAULT_SHARD_COUNT)
+        assert len(result.shard_sizes) == min(3, 2)  # min(replicas, workers)
         assert result.times.size == 3
 
 
@@ -242,6 +254,13 @@ class TestCheckpointing:
         # Re-running with the completed checkpoints replays the result.
         again = _run(workers=2, checkpoint_base=base, checkpoint_every=5)
         assert np.array_equal(first.times, again.times, equal_nan=True)
+        # Another seed at the same shape is refused, not replayed.
+        with pytest.raises(CheckpointError, match="different run"):
+            _run(workers=2, seed=8, checkpoint_base=base, checkpoint_every=5)
+        # An unreadable shard file is discarded and that shard reruns.
+        shard_files[0].write_bytes(b"\x80{torn")
+        again = _run(workers=2, checkpoint_base=base, checkpoint_every=5)
+        assert np.array_equal(first.times, again.times, equal_nan=True)
 
 
 class _StopWhen:
@@ -262,15 +281,14 @@ class TestGracefulStop:
         # Long enough (~1000 rounds per shard) that the first checkpoint
         # at round 50 lands well before any shard finishes.
         config = wrong_consensus_configuration(1000, 1)
-        supervisor = SupervisorConfig(workers=2, shards=2)
 
-        def run(**kwargs):
+        def run(shards=2, **kwargs):
             return run_supervised_ensemble(
                 PROTOCOL, config, 10**6, make_rng(5), 4,
-                supervisor=supervisor, **kwargs,
+                supervisor=SupervisorConfig(workers=2, shards=shards), **kwargs,
             )
 
-        clean = run()
+        serial = simulate_ensemble(PROTOCOL, config, 10**6, make_rng(5), 4)
         base = tmp_path / "run.ckpt"
 
         def shard_checkpointed() -> bool:
@@ -285,8 +303,14 @@ class TestGracefulStop:
         assert shard_files
         assert not all(json.loads(p.read_text())["complete"] for p in shard_files)
 
+        # Another shard layout covers other replica ranges: its files are
+        # refused before any worker starts.
+        with pytest.raises(CheckpointError, match=r"run\.ckpt\.shard\d"):
+            run(shards=4, checkpoint_base=base, checkpoint_every=50)
+        assert multiprocessing.active_children() == []
+
         resumed = run(checkpoint_base=base, checkpoint_every=50)
-        assert np.array_equal(resumed.times, clean.times, equal_nan=True)
+        assert np.array_equal(resumed.times, serial, equal_nan=True)
 
 
 class TestRecorder:

@@ -463,11 +463,14 @@ class TestEnsembleRuns:
         one = capsys.readouterr().out
         main(self.ARGS + ["--replicas", "8", "--workers", "4", "--shards", "4"])
         four = capsys.readouterr().out
-        # The header names the worker count; the statistics must not.
+        main(self.ARGS + ["--replicas", "8"])
+        default = capsys.readouterr().out
+        assert "(shards=1, workers=1)" in default.splitlines()[0]
+        # The header names the shape; the statistics must not.
         strip = lambda text: [
             line for line in text.splitlines() if "workers=" not in line
         ]
-        assert strip(one) == strip(four)
+        assert strip(one) == strip(four) == strip(default)
 
     def test_run_workers_without_replicas_uses_the_supervisor(self, capsys):
         code = main(self.ARGS + ["--workers", "1"])
