@@ -48,7 +48,7 @@ fault-smoke:
 	$(PYTHON) scripts/fault_smoke.py ensemble:after_round:25
 	$(PYTHON) scripts/fault_smoke.py checkpoint:after_tmp_write:3
 	$(PYTHON) scripts/fault_smoke.py heartbeat:mid_write:30
-	$(PYTHON) scripts/fault_smoke.py trace:mid_write:200
+	$(PYTHON) scripts/fault_smoke.py trace:mid_write:4
 	$(PYTHON) scripts/fault_smoke.py --trace-format columnar trace:mid_write:6
 
 ensemble-smoke:

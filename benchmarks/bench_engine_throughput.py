@@ -152,16 +152,11 @@ def test_engine_throughput_loop_vs_batched(benchmark):
     below the convergence scale, so every replica executes exactly
     ``ROUNDS`` rounds) run three ways: the ``loop`` reference engine, the
     vectorized ``batched`` engine, and ``batched`` composed with the PR-5
-    supervisor pool.  Where numba is importable a fourth row times
-    ``batched+numba`` (after a JIT warm-up round, so compile time stays
-    out of the throughput figure); the record always carries a
-    ``numba_available`` field so the ledger distinguishes "not installed"
-    from "not measured".  The ledger archives replica-rounds/sec per
-    backend and the speedup ratios; the headline claim — batched at least
+    supervisor pool.  The ledger archives replica-rounds/sec per backend
+    and the speedup ratios; the headline claim — batched at least
     10x the loop engine at R=1000 — is asserted, because that is the
     whole reason the batched engine exists.
     """
-    from repro.dynamics.batched import HAVE_NUMBA
     from repro.dynamics.run import simulate_ensemble
     from repro.execution.supervisor import SupervisorConfig, run_supervised_ensemble
 
@@ -199,13 +194,6 @@ def test_engine_throughput_loop_vs_batched(benchmark):
     )
     pooled_s = time.perf_counter() - pooled_start
 
-    numba_s = numba_times = None
-    if HAVE_NUMBA:
-        run_serial("batched+numba")  # JIT warm-up: compile outside the clock
-        numba_start = time.perf_counter()
-        numba_times = run_serial("batched+numba")
-        numba_s = time.perf_counter() - numba_start
-
     loop_rps = replica_rounds / loop_s
     batched_rps = replica_rounds / batched_s
     pooled_rps = replica_rounds / pooled_s
@@ -219,12 +207,6 @@ def test_engine_throughput_loop_vs_batched(benchmark):
     note_field("pooled_replica_rounds_per_sec", round(pooled_rps, 1))
     note_field("speedup_batched_vs_loop", round(speedup_batched, 2))
     note_field("speedup_pooled_vs_loop", round(speedup_pooled, 2))
-    note_field("numba_available", HAVE_NUMBA)
-    if numba_s is not None:
-        note_field(
-            "numba_replica_rounds_per_sec", round(replica_rounds / numba_s, 1)
-        )
-        note_field("speedup_numba_vs_loop", round(loop_s / numba_s, 2))
     table = Table(
         f"engine throughput: {replicas} replicas, {rounds} rounds at n={n} "
         f"(pool: {workers} workers, 4 shards)",
@@ -233,20 +215,10 @@ def test_engine_throughput_loop_vs_batched(benchmark):
     table.add_row("loop", round(loop_s, 4), round(loop_rps), 1.0)
     table.add_row("batched", round(batched_s, 4), round(batched_rps), round(speedup_batched, 1))
     table.add_row("batched+pool", round(pooled_s, 4), round(pooled_rps), round(speedup_pooled, 1))
-    if numba_s is not None:
-        table.add_row(
-            "batched+numba", round(numba_s, 4),
-            round(replica_rounds / numba_s), round(loop_s / numba_s, 1),
-        )
-    else:
-        table.add_row("batched+numba", "-", "unavailable", "-")
     emit("E13c_engine_throughput", table)
 
     # Correctness rails: same censoring pattern everywhere (fixed work), and
-    # loop-vs-batched bit-identity per the ENGINES.md contract (numba, when
-    # present, must share the batched stream bit for bit).
-    if numba_times is not None:
-        assert np.array_equal(loop_times, numba_times, equal_nan=True)
+    # loop-vs-batched bit-identity per the ENGINES.md contract.
     assert np.array_equal(loop_times, batched_times, equal_nan=True)
     assert pooled.failed_shards == 0
     # The acceptance bar: vectorization must buy >= 10x over the Python loop.

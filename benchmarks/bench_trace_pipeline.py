@@ -3,12 +3,12 @@
 The columnar trace container exists for two measurable reasons, and this
 module measures exactly those:
 
-* **Write side** — per-record cost of the trace sinks, driven directly
-  (no simulation in the way): the JSONL sink pays a JSON encode plus one
-  unbuffered ``write(2)`` per round, the columnar sink buffers rounds and
-  pays an amortised numpy column encode per chunk.  The assertion is the
-  design's reason to exist: columnar per-record overhead strictly below
-  JSONL's.
+* **Write side** — per-record cost of the one trace sink, driven
+  directly (no simulation in the way), close included: both formats
+  buffer rounds and pay an amortised numpy column encode per chunk, and a
+  JSONL request then re-encodes the published container as JSON lines,
+  one chunk at a time.  The assertion is the columnar container's reason
+  to exist: its per-record cost strictly below a JSONL request's.
 * **Read side** — ``repro report`` query latency over a trace directory
   (full sizing: 10^6 round records across 8 files).  Four strategies are
   timed on identical record streams: JSONL re-parse (the pre-columnar
@@ -36,12 +36,7 @@ from repro.analysis.report import summarize_trace_dir
 from repro.analysis.series import Table
 from repro.dynamics.rng import make_rng
 from repro.protocols import minority
-from repro.telemetry import (
-    ColumnarTraceWriter,
-    JsonlTraceWriter,
-    run_provenance,
-    write_trace_records,
-)
+from repro.telemetry import open_trace_writer, run_provenance, write_trace_records
 from repro.telemetry.recorder import TRACE_SCHEMA_VERSION
 
 PROTOCOL = minority(3)
@@ -105,7 +100,7 @@ def _drive_sink(writer, rounds: int) -> float:
 
 
 def test_trace_pipeline(benchmark):
-    """E13d — columnar sink overhead + zero-reparse report queries."""
+    """E13d — trace sink cost per format + zero-reparse report queries."""
     sink_rounds = pick(200_000, 20_000)
     files = 8
     rounds_per_file = pick(125_000, 6_000)  # full: 10^6 records total
@@ -116,11 +111,13 @@ def test_trace_pipeline(benchmark):
 
         # -- write side: per-record sink cost, identical record streams --
         jsonl_write_s = _drive_sink(
-            JsonlTraceWriter(scratch / "sink.jsonl", include_timings=False),
+            open_trace_writer(scratch / "sink.jsonl", "jsonl", include_timings=False),
             sink_rounds,
         )
         columnar_write_s = _drive_sink(
-            ColumnarTraceWriter(scratch / "sink.ctrace", include_timings=False),
+            open_trace_writer(
+                scratch / "sink.ctrace", "columnar", include_timings=False
+            ),
             sink_rounds,
         )
         jsonl_us = 1e6 * jsonl_write_s / sink_rounds

@@ -14,12 +14,13 @@ For a given crashpoint (see :mod:`repro.execution.faults`), this script:
    check covers both sinks), and that the resumed run's timing-free trace
    is a **bit-identical tail** of the baseline's — every round record the
    resumed run emits matches the uninterrupted run's record for the same
-   round.  With ``--trace-format jsonl`` (the default) the tail check is
-   byte-for-byte on the raw lines; with ``--trace-format columnar`` the
-   run streams through :class:`ColumnarTraceWriter` (small
-   ``chunk_rounds`` so ``trace:mid_write`` tears a mid-run chunk) and the
-   tail check compares canonical record encodings, since the container
-   frames records in chunks rather than lines.
+   round.  Both formats stream through the one trace sink with a small
+   ``chunk_rounds``, so ``trace:mid_write`` tears a mid-run chunk and the
+   torn staging file is a columnar container either way.  With
+   ``--trace-format jsonl`` (the default) the tail check is byte-for-byte
+   on the published lines; with ``--trace-format columnar`` it compares
+   canonical record encodings, since the container frames records in
+   chunks rather than lines.
 
 Every serial leg also composes a :class:`HeartbeatRecorder` with the
 trace (interval 0.0 — one write per round, so crashpoint visit counts
@@ -45,7 +46,7 @@ Usage:
     PYTHONPATH=src python scripts/fault_smoke.py ensemble:after_replica:2
     PYTHONPATH=src python scripts/fault_smoke.py checkpoint:after_tmp_write:3
     PYTHONPATH=src python scripts/fault_smoke.py --parallel ensemble:after_round:25
-    PYTHONPATH=src python scripts/fault_smoke.py --trace-format columnar trace:mid_write:12
+    PYTHONPATH=src python scripts/fault_smoke.py --trace-format columnar trace:mid_write:6
 
 Exit 0 on pass, 1 on any violated invariant.  The CI fault-injection
 matrix and ``tests/execution/test_faults.py`` both drive this entry point,
@@ -79,9 +80,9 @@ SCENARIO = {
     "every": 5,
 }
 
-# Columnar fault legs buffer this many rounds per chunk: small enough that
-# ``trace:mid_write`` visits a chunk write early and often, large enough
-# that a torn chunk really does straddle many records.
+# Every fault leg buffers this many rounds per chunk, whatever the format:
+# small enough that ``trace:mid_write`` visits a chunk write early and
+# often, large enough that a torn chunk really does straddle many records.
 FAULT_CHUNK_ROUNDS = 64
 
 
@@ -127,15 +128,12 @@ def _run_ensemble(
         checkpoint = Checkpointer.resume(checkpoint_path, every=SCENARIO["every"])
     else:
         checkpoint = Checkpointer(checkpoint_path, every=SCENARIO["every"])
-    sink_kwargs = (
-        {"chunk_rounds": FAULT_CHUNK_ROUNDS} if trace_format == "columnar" else {}
-    )
     trace = (
         open_trace_writer(
             outdir / _trace_name(trace_format),
             trace_format,
             include_timings=False,
-            **sink_kwargs,
+            chunk_rounds=FAULT_CHUNK_ROUNDS,
         )
         if with_trace
         else None
@@ -376,8 +374,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--trace-format", choices=("jsonl", "columnar"), default="jsonl",
-        help="trace sink for the serial kill-and-resume legs (the columnar "
-             "variant proves chunk-granularity salvage; ignored by --parallel)",
+        help="trace format the serial kill-and-resume legs publish (both "
+             "prove chunk-granularity salvage; ignored by --parallel)",
     )
     args = parser.parse_args(argv)
 
@@ -441,9 +439,8 @@ def main(argv=None) -> int:
             )
 
     # 3. The torn trace (still at its .tmp name — the rename never ran) must
-    #    salvage to a non-empty valid prefix.  validate_trace sniffs the
-    #    format, so the same call covers a torn JSONL line and a torn
-    #    columnar chunk.
+    #    salvage to a non-empty valid prefix.  It is a columnar container
+    #    whatever the requested format; validate_trace sniffs it.
     torn = faulted_dir / (trace_name + ".tmp")
     if not torn.exists():
         return fail("no torn trace left behind by the crash")

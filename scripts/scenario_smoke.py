@@ -89,8 +89,11 @@ def _run_hostile(outdir: pathlib.Path, resume: bool, scenario: str = None) -> di
         checkpoint = Checkpointer.resume(checkpoint_path, every=WORLD["every"])
     else:
         checkpoint = Checkpointer(checkpoint_path, every=WORLD["every"])
+    # Small chunks, so a mid-run kill leaves whole round chunks to salvage
+    # rather than only the header (a hard kill loses the buffered chunk).
     trace = open_trace_writer(
-        outdir / "hostile.jsonl", "jsonl", include_timings=False
+        outdir / "hostile.jsonl", "jsonl", include_timings=False,
+        chunk_rounds=8,
     )
     try:
         stats = convergence_ensemble(

@@ -1,13 +1,13 @@
 """Smoke-test trace format conversion (the `make trace-roundtrip` target).
 
-Runs a tiny traced simulation into the JSONL sink, converts the trace
+Runs a tiny traced simulation published as JSONL, converts the trace
 jsonl -> columnar -> jsonl (:func:`repro.telemetry.jsonl_to_columnar` /
 :func:`repro.telemetry.columnar_to_jsonl`), and asserts the round trip is
 **byte-identical** to the original file — the losslessness contract in
-docs/OBSERVABILITY.md ("Trace formats").  It also proves the two sinks
-agree at the source: the same simulation streamed directly through
-:class:`ColumnarTraceWriter` must decode to exactly the records the JSONL
-sink wrote (timings off, so the comparison is deterministic).
+docs/OBSERVABILITY.md ("Trace formats").  It also proves the two formats
+agree at the source: the same simulation published as columnar must
+decode to exactly the records the JSONL request published (timings off,
+so the comparison is deterministic).
 
 Exits non-zero on any mismatch.
 
@@ -80,8 +80,8 @@ def main(scratch: str | None = None) -> int:
     # 2. The columnar container must validate in its own right.
     validate_trace(container)
 
-    # 3. Streaming the same run through the columnar sink directly must
-    #    produce exactly the records the JSONL sink wrote.
+    # 3. Publishing the same run as columnar must produce exactly the
+    #    records the JSONL request published.
     direct = scratch_dir / "direct.ctrace"
     _run_traced(direct, "columnar")
     direct_records = read_trace(direct)
@@ -89,14 +89,14 @@ def main(scratch: str | None = None) -> int:
         for got, want in zip(direct_records, records):
             if got != want:
                 problems.append(
-                    "columnar sink diverged from the JSONL sink:\n"
+                    "columnar trace diverged from the JSONL trace:\n"
                     f"  columnar: {json.dumps(got, sort_keys=True)}\n"
                     f"  jsonl:    {json.dumps(want, sort_keys=True)}"
                 )
                 break
         else:
             problems.append(
-                "columnar sink record count diverged from the JSONL sink: "
+                "columnar trace record count diverged from the JSONL trace: "
                 f"{len(direct_records)} vs {len(records)}"
             )
 
@@ -106,7 +106,7 @@ def main(scratch: str | None = None) -> int:
         return 1
     print(
         f"trace-roundtrip ok: {len(records)} records byte-identical through "
-        f"jsonl -> columnar -> jsonl, direct columnar sink agrees "
+        f"jsonl -> columnar -> jsonl, direct columnar trace agrees "
         f"({container.stat().st_size} vs {original.stat().st_size} bytes on disk)"
     )
     return 0

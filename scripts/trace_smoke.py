@@ -19,7 +19,9 @@ try:
 except ModuleNotFoundError:  # running from a checkout without `pip install -e .`
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro import Configuration, JsonlTraceWriter, make_rng, simulate, validate_trace, voter
+from repro import (
+    Configuration, make_rng, open_trace_writer, simulate, validate_trace, voter,
+)
 from repro.telemetry import trace_counts
 
 
@@ -27,7 +29,7 @@ def main(path: str | None = None) -> int:
     if path is None:
         path = str(pathlib.Path(tempfile.mkdtemp(prefix="trace-smoke-")) / "smoke.jsonl")
     config = Configuration(n=64, z=1, x0=1)
-    with JsonlTraceWriter(path) as writer:
+    with open_trace_writer(path, "jsonl") as writer:
         result = simulate(
             voter(1), config, max_rounds=50_000, rng=make_rng(0),
             record=True, recorder=writer,

@@ -60,11 +60,11 @@ from repro.dynamics import (
 )
 from repro.telemetry import (
     NULL_RECORDER,
-    JsonlTraceWriter,
     MetricsRecorder,
     NullRecorder,
     Recorder,
     compose_recorders,
+    open_trace_writer,
     read_trace,
     validate_trace,
 )
@@ -132,8 +132,8 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "MetricsRecorder",
-    "JsonlTraceWriter",
     "compose_recorders",
+    "open_trace_writer",
     "read_trace",
     "validate_trace",
 ]

@@ -189,7 +189,7 @@ def convergence_ensemble(
     (time past the settle round) are wanted instead of absolute ``tau``.
 
     ``engine`` selects the stepping backend and is forwarded verbatim
-    (``"loop"`` | ``"batched"`` | ``"batched+numba"`` | ``"lockstep"``;
+    (``"loop"`` | ``"batched"`` | ``"lockstep"``;
     ``None`` means the default ``"batched"`` — see docs/ENGINES.md).
     Because the statistics are a pure function of the replica times, the
     loop-vs-batched bit-identity of :func:`~repro.dynamics.run.

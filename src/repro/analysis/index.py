@@ -98,7 +98,7 @@ def write_trace_index(directory: Union[str, Path], index: Dict[str, Any]) -> Pat
 def _entry_for(path: Path, identity: Tuple[int, int]) -> Dict[str, Any]:
     """Summarize one trace file into its index entry (the only slow step)."""
     from repro.analysis.report import summarize_trace
-    from repro.telemetry.columnar import detect_trace_format
+    from repro.telemetry.jsonl import detect_trace_format
     from repro.telemetry.recorder import TRACE_SCHEMA_VERSION
 
     summary = summarize_trace(path)

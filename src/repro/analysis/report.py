@@ -36,8 +36,8 @@ import numpy as np
 from repro.analysis.series import Table
 from repro.core.bias import bias_value
 from repro.protocols.table import table_protocol
-from repro.telemetry import validate_trace
-from repro.telemetry.columnar import detect_trace_format, load_columnar_data
+from repro.telemetry import detect_trace_format, validate_trace
+from repro.telemetry.columnar import load_columnar_data
 
 __all__ = [
     "TraceSummary",

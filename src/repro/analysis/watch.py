@@ -38,7 +38,7 @@ from repro.telemetry.heartbeat import (
     Heartbeat,
     discover_heartbeats,
 )
-from repro.telemetry.jsonl import COLUMNAR_MAGIC
+from repro.telemetry.jsonl import detect_trace_format
 
 __all__ = [
     "discover_traces",
@@ -191,15 +191,20 @@ def discover_traces(path: Union[str, Path]) -> List[Path]:
 def tail_trace_round(path: Union[str, Path]) -> Optional[dict]:
     """The last ``round`` record of a trace, reading only the tail.
 
-    Format is sniffed from the file's leading bytes.  JSONL traces seek to
-    the final :data:`_TAIL_BYTES` and parse backwards (constant cost);
-    columnar traces are walked forward, CRC-checking every chunk, and only
-    the last round-bearing chunk is decoded (linear in the file size).
-    ``None`` when no complete round record exists (empty or torn file too).
+    A trace still being written has no file at ``path`` yet, only its
+    staging file ``<path>.tmp``, which is read instead.  The format is
+    sniffed from the leading bytes.  JSONL traces seek to the final
+    :data:`_TAIL_BYTES` and parse backwards; columnar traces step back
+    over whole chunks from the end and decode only the last round-bearing
+    one (:func:`~repro.telemetry.columnar.columnar_tail_round`).  Both
+    cost about the same at any file size.  ``None`` when no complete
+    round record exists (empty or torn file too).
     """
     path = Path(path)
+    if not path.exists():
+        path = storage.staging_path(path)
     try:
-        if storage.has_magic(path, COLUMNAR_MAGIC):
+        if detect_trace_format(path) == "columnar":
             from repro.telemetry.columnar import columnar_tail_round
 
             return columnar_tail_round(path)

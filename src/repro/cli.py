@@ -65,6 +65,7 @@ from repro.core.bias import bias_value
 from repro.core.lower_bound import lower_bound_certificate, verify_escape_assumptions
 from repro.core.protocol import Protocol
 from repro.core.roots import is_zero_bias, sign_profile
+from repro.dynamics.batched import ENGINES
 from repro.dynamics.config import Configuration, wrong_consensus_configuration
 from repro.dynamics.rng import make_rng
 from repro.dynamics.run import simulate, simulate_ensemble
@@ -652,11 +653,8 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
     an invalid trace exits 3 without writing anything; ``--salvage``
     converts the recoverable prefix of a torn trace instead.
     """
-    from repro.telemetry.columnar import (
-        columnar_to_jsonl,
-        detect_trace_format,
-        jsonl_to_columnar,
-    )
+    from repro.telemetry.columnar import columnar_to_jsonl, jsonl_to_columnar
+    from repro.telemetry.jsonl import detect_trace_format
 
     try:
         source_format = detect_trace_format(args.source)
@@ -986,8 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace-format", choices=TRACE_FORMATS, default="jsonl",
-        help="trace container: jsonl (text, per-record durability) or "
-             "columnar (chunked binary, cheaper hot path + fast analytics)",
+        help="trace format published at close: jsonl (text) or columnar "
+             "(chunked binary, fast analytics); both stream as columnar",
     )
     run.add_argument(
         "--metrics", action="store_true",
@@ -1031,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine", default=None, metavar="NAME",
-        choices=("loop", "batched", "batched+numba", "lockstep"),
+        choices=ENGINES,
         help="ensemble stepping backend (default: batched; see "
              "docs/ENGINES.md for the backend contract)",
     )
@@ -1143,7 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument(
         "--trace-format", choices=TRACE_FORMATS, default="jsonl",
-        help="trace container for the resumed leg (default jsonl)",
+        help="trace format the resumed leg publishes (default jsonl)",
     )
     resume.add_argument(
         "--metrics", action="store_true",

@@ -30,10 +30,8 @@ loop-vs-batched bit-identity contract the engine selector is built on.
 
 Engine selection (consumed by :func:`repro.dynamics.run.simulate_ensemble`
 via its ``engine=`` keyword) lives here too: :data:`ENGINES` names the
-backends, :func:`resolve_engine` normalizes a request (``None`` means
-:data:`DEFAULT_ENGINE`; ``batched+numba`` falls back to ``batched`` when
-numba is not importable), and :func:`engine_family` maps a resolved name
-to its random-stream identity.
+backends and :func:`resolve_engine` normalizes a request (``None`` means
+:data:`DEFAULT_ENGINE`).
 
 >>> import numpy as np
 >>> keys = replica_keys(2024, 4)
@@ -61,9 +59,7 @@ from repro.telemetry import NULL_RECORDER, Recorder, current_span
 __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
-    "HAVE_NUMBA",
     "resolve_engine",
-    "engine_family",
     "replica_keys",
     "counter_uniforms",
     "binomial_icdf",
@@ -72,15 +68,7 @@ __all__ = [
     "step_counts_keyed",
 ]
 
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore
-
-    HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    HAVE_NUMBA = False
-
-ENGINES = ("loop", "batched", "batched+numba", "lockstep")
+ENGINES = ("loop", "batched", "lockstep")
 """Every ensemble backend ``engine=`` accepts (contract in docs/ENGINES.md)."""
 
 DEFAULT_ENGINE = "batched"
@@ -97,10 +85,7 @@ _S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 def resolve_engine(engine: Optional[str]) -> str:
     """Normalize an ``engine=`` request into a concrete backend name.
 
-    ``None`` resolves to :data:`DEFAULT_ENGINE`; ``"batched+numba"``
-    resolves to ``"batched"`` when numba is not importable (the documented
-    pure-python fallback — the two are bit-identical by construction, so
-    the fallback never changes results).  Unknown names raise
+    ``None`` resolves to :data:`DEFAULT_ENGINE`.  Unknown names raise
     ``ValueError`` listing the valid backends.
 
     >>> resolve_engine(None)
@@ -110,7 +95,7 @@ def resolve_engine(engine: Optional[str]) -> str:
     >>> resolve_engine("turbo")
     Traceback (most recent call last):
         ...
-    ValueError: unknown engine 'turbo'; expected one of: loop, batched, batched+numba, lockstep
+    ValueError: unknown engine 'turbo'; expected one of: loop, batched, lockstep
     """
     if engine is None:
         return DEFAULT_ENGINE
@@ -118,25 +103,7 @@ def resolve_engine(engine: Optional[str]) -> str:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of: " + ", ".join(ENGINES)
         )
-    if engine == "batched+numba" and not HAVE_NUMBA:
-        return "batched"
     return engine
-
-
-def engine_family(engine: str) -> str:
-    """The random-stream identity of a resolved engine name.
-
-    ``batched+numba`` only jits the counter-stream hash — integer ops that
-    numba reproduces bit-exactly — so it shares the ``batched`` stream;
-    checkpoints and run signatures key on the family, which is why a run
-    checkpointed with numba resumes identically without it.
-
-    >>> engine_family("batched+numba")
-    'batched'
-    >>> engine_family("loop")
-    'loop'
-    """
-    return "batched" if engine == "batched+numba" else engine
 
 
 def replica_keys(seed: SeedLike, replicas: int) -> np.ndarray:
@@ -176,34 +143,10 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S31)
 
 
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @numba.njit(cache=False)
-    def _uniforms_jit(keys, t, draw):  # pragma: no cover
-        out = np.empty(keys.size, dtype=np.float64)
-        golden = np.uint64(0x9E3779B97F4A7C15)
-        mix1 = np.uint64(0xBF58476D1CE4E5B9)
-        mix2 = np.uint64(0x94D049BB133111EB)
-        c = t * golden + draw
-        c = c + golden
-        c = (c ^ (c >> np.uint64(30))) * mix1
-        c = (c ^ (c >> np.uint64(27))) * mix2
-        c = c ^ (c >> np.uint64(31))
-        for i in range(keys.size):
-            h = keys[i] ^ c
-            h = h + golden
-            h = (h ^ (h >> np.uint64(30))) * mix1
-            h = (h ^ (h >> np.uint64(27))) * mix2
-            h = h ^ (h >> np.uint64(31))
-            out[i] = (h >> np.uint64(11)) * (2.0 ** -53)
-        return out
-
-
 def counter_uniforms(
     keys: np.ndarray,
     t: int,
     draw: Union[int, Sequence[int]],
-    use_numba: bool = False,
 ) -> np.ndarray:
     """One double in ``[0, 1)`` per key for counter ``(round t, draw)``.
 
@@ -215,10 +158,6 @@ def counter_uniforms(
     sequence of draw indices hashes them in one call and returns one row
     per draw — row ``i`` is bit-for-bit ``counter_uniforms(keys, t,
     draw[i])``.
-
-    With ``use_numba=True`` (and numba importable) the hash runs jitted,
-    one jit call per draw; the integer pipeline is identical, so the bits
-    are too.
 
     >>> import numpy as np
     >>> keys = replica_keys(0, 2)
@@ -234,10 +173,6 @@ def counter_uniforms(
     """
     keys = np.asarray(keys, dtype=np.uint64)
     draws = np.asarray(draw, dtype=np.uint64)
-    if use_numba and HAVE_NUMBA:  # pragma: no cover - needs numba installed
-        if draws.ndim:
-            return np.stack([_uniforms_jit(keys, np.uint64(t), d) for d in draws])
-        return _uniforms_jit(keys, np.uint64(t), draws[()])
     with np.errstate(over="ignore"):
         counter = _mix(_U64(t) * _GOLDEN + draws)
         h = _mix(keys ^ counter[..., None])
@@ -342,7 +277,6 @@ def binomial_pair(
     p1: np.ndarray,
     m0: np.ndarray,
     p0: np.ndarray,
-    use_numba: bool = False,
 ) -> np.ndarray:
     """``Bin(m1, P1) + Bin(m0, P0)`` per replica from draws 0 and 1 of round ``t``.
 
@@ -362,7 +296,7 @@ def binomial_pair(
     m[:r], m[r:] = m1, m0
     p = np.empty(2 * r, dtype=np.float64)
     p[:r], p[r:] = p1, p0
-    k = binomial_icdf(counter_uniforms(keys, t, (0, 1), use_numba).ravel(), m, p)
+    k = binomial_icdf(counter_uniforms(keys, t, (0, 1)).ravel(), m, p)
     return k[:r] + k[r:]
 
 
@@ -373,13 +307,12 @@ def _step_keyed(
     counts: np.ndarray,
     keys: np.ndarray,
     t: int,
-    use_numba: bool = False,
 ) -> np.ndarray:
     """One keyed lock-step round; shared by the scalar and batched fronts."""
     p0, p1 = protocol.response_probabilities(counts / n)
     m1 = counts - z
     m0 = n - counts - (1 - z)
-    return z + binomial_pair(keys, t, m1, p1, m0, p0, use_numba)
+    return z + binomial_pair(keys, t, m1, p1, m0, p0)
 
 
 def step_counts_keyed(
@@ -390,7 +323,6 @@ def step_counts_keyed(
     keys: np.ndarray,
     t: int,
     recorder: Recorder = NULL_RECORDER,
-    use_numba: bool = False,
 ) -> np.ndarray:
     """Advance many replicas one round, each on its own counter stream.
 
@@ -414,7 +346,7 @@ def step_counts_keyed(
     """
     counts = np.asarray(counts)
     validate_counts(n, z, counts)
-    out = _step_keyed(protocol, n, z, counts, keys, t, use_numba)
+    out = _step_keyed(protocol, n, z, counts, keys, t)
     if recorder.enabled:
         span = current_span(recorder)
         span.incr("batch_steps")

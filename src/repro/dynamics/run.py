@@ -37,7 +37,6 @@ from repro.core.protocol import Protocol
 if TYPE_CHECKING:  # avoid a circular import: core.lower_bound needs dynamics.config
     from repro.core.lower_bound import LowerBoundCertificate
 from repro.dynamics.batched import (
-    engine_family,
     replica_keys,
     resolve_engine,
     step_count_keyed,
@@ -265,9 +264,7 @@ def simulate_ensemble(
     seed and ``j`` — never on the batch size; ``"loop"`` is its
     bit-identical scalar reference (one Python-level
     :func:`~repro.dynamics.batched.step_count_keyed` call per active
-    replica per round); ``"batched+numba"`` jits the counter hash when
-    numba is importable and falls back to ``"batched"`` otherwise (same
-    bits either way); ``"lockstep"`` is the legacy shared-``Generator``
+    replica per round); ``"lockstep"`` is the legacy shared-``Generator``
     path via :func:`step_counts_batch`, whose stream differs from the
     keyed engines' (statistical equivalence only).
 
@@ -284,7 +281,7 @@ def simulate_ensemble(
     checkpoint signature hashes ``rng``'s entry state, so a resume under
     another seed is refused.
 
-    ``first_replica`` (keyed families only) makes the call run a slice of
+    ``first_replica`` (keyed engines only) makes the call run a slice of
     a larger serial ensemble: replica ``j`` of the result is replica
     ``first_replica + j`` of ``simulate_ensemble(..., rng, first_replica +
     replicas)``.  The supervisor's shards run such slices.
@@ -356,26 +353,24 @@ def simulate_ensemble(
             f"protocol {protocol.name!r} violates Proposition 3; its "
             "convergence time is infinite (see time_to_leave_consensus)"
         )
-    resolved_engine = resolve_engine(engine)
-    family = engine_family(resolved_engine)
-    use_numba = resolved_engine == "batched+numba"
+    engine = resolve_engine(engine)
     scenario = as_scenario(scenario, config.n)
-    if scenario is not None and family not in ("batched", "loop"):
+    if scenario is not None and engine not in ("batched", "loop"):
         raise ValueError(
-            f"scenarios require a keyed engine family (loop/batched), "
-            f"not {resolved_engine!r}"
+            f"scenarios require a keyed engine (loop/batched), "
+            f"not {engine!r}"
         )
-    if first_replica < 0 or (first_replica and family not in ("batched", "loop")):
+    if first_replica < 0 or (first_replica and engine not in ("batched", "loop")):
         raise ValueError(
-            f"first_replica must be >= 0 and needs a keyed engine family "
-            f"(loop/batched), got {first_replica} under {resolved_engine!r}"
+            f"first_replica must be >= 0 and needs a keyed engine "
+            f"(loop/batched), got {first_replica} under {engine!r}"
         )
     settle = scenario.settle_round(max_rounds) if scenario is not None else 0
     start_round = 0
     resumed = None
     if checkpoint is not None:
         resumed = checkpoint.begin("simulate_ensemble", _ensemble_signature(
-            protocol, config, max_rounds, rng, replicas, family, scenario,
+            protocol, config, max_rounds, rng, replicas, engine, scenario,
             first_replica,
         ))
         if resumed is not None and resumed.complete:
@@ -386,7 +381,7 @@ def simulate_ensemble(
     # generator afterwards; the stored bit-generator state is then simply
     # the post-derivation state, constant across the whole run.
     keys = None
-    if family in ("batched", "loop"):
+    if engine in ("batched", "loop"):
         keys = replica_keys(rng, first_replica + replicas)[first_replica:]
     target = config.target_count
     if resumed is not None:
@@ -420,7 +415,7 @@ def simulate_ensemble(
     if recording:
         params = dict(
             n=config.n, z=config.z, x0=config.x0,
-            max_rounds=max_rounds, replicas=replicas, engine=family,
+            max_rounds=max_rounds, replicas=replicas, engine=engine,
         )
         if first_replica:
             params["first_replica"] = first_replica
@@ -439,10 +434,10 @@ def simulate_ensemble(
             if not active.any():
                 break
             if scenario is not None:
-                if family == "batched":
+                if engine == "batched":
                     counts[active] = scenario_step_counts(
                         protocol, scenario, config.z, counts[active],
-                        keys[active], t, recorder, use_numba=use_numba,
+                        keys[active], t, recorder,
                     )
                 else:  # loop
                     for j in np.nonzero(active)[0]:
@@ -456,12 +451,12 @@ def simulate_ensemble(
                 else:
                     newly_done = np.zeros(replicas, dtype=bool)
             else:
-                if family == "batched":
+                if engine == "batched":
                     counts[active] = step_counts_keyed(
                         protocol, config.n, config.z, counts[active],
-                        keys[active], t, recorder, use_numba=use_numba,
+                        keys[active], t, recorder,
                     )
-                elif family == "loop":
+                elif engine == "loop":
                     for j in np.nonzero(active)[0]:
                         counts[j] = step_count_keyed(
                             protocol, config.n, config.z, int(counts[j]),
@@ -533,22 +528,20 @@ def simulate_ensemble(
 
 
 def _ensemble_signature(
-    protocol, config, max_rounds, rng, replicas, family, scenario=None,
+    protocol, config, max_rounds, rng, replicas, engine, scenario=None,
     first_replica=0,
 ) -> str:
     """The checkpoint signature of one :func:`simulate_ensemble` call.
 
     Taken with ``rng`` at the call's entry state, whose hash pins the seed.
-    It keys on the engine *family*: the random stream (and with it the
-    result) is a function of the family, so a run checkpointed under
-    ``batched+numba`` resumes under ``batched``.  The scenario spec joins
-    only when one is active.  The supervisor computes each shard's
-    signature with this function to refuse a foreign shard checkpoint
-    before it forks.
+    It keys on the resolved engine, whose random stream the result is a
+    function of.  The scenario spec joins only when one is active.  The
+    supervisor computes each shard's signature with this function to
+    refuse a foreign shard checkpoint before it forks.
     """
     params = dict(
         n=config.n, z=config.z, x0=config.x0, max_rounds=max_rounds,
-        replicas=replicas, first_replica=first_replica, engine=family,
+        replicas=replicas, first_replica=first_replica, engine=engine,
         entry_state=rng_provenance(rng)["state_hash"],
     )
     if scenario is not None:

@@ -819,7 +819,6 @@ def _scenario_step(
     counts: np.ndarray,
     keys: np.ndarray,
     t: int,
-    use_numba: bool = False,
 ) -> np.ndarray:
     """One keyed hostile-world round for a batch of replica counts.
 
@@ -844,12 +843,12 @@ def _scenario_step(
     p0, p1 = scenario.transform_responses(protocol, t, p, p0, p1)
     m1 = counts - pin1_prev
     m0 = n_prev - counts - pin0_prev
-    free_ones = binomial_pair(keys, t, m1, p1, m0, p0, use_numba)
+    free_ones = binomial_pair(keys, t, m1, p1, m0, p0)
 
     delta = n_next - n_prev
     if delta > 0:
         arrivals = binomial_icdf(
-            counter_uniforms(keys, t, 2, use_numba),
+            counter_uniforms(keys, t, 2),
             np.full(counts.shape, delta, dtype=np.int64),
             np.asarray(scenario.arrival_bias(t)),
         )
@@ -862,7 +861,7 @@ def _scenario_step(
                 f"{free} free agents exist"
             )
         departed_ones = hypergeometric_icdf(
-            counter_uniforms(keys, t, 3, use_numba),
+            counter_uniforms(keys, t, 3),
             free_ones,
             free - free_ones,
             -delta,
@@ -894,12 +893,11 @@ def scenario_step_counts(
     keys: np.ndarray,
     t: int,
     recorder: Recorder = NULL_RECORDER,
-    use_numba: bool = False,
 ) -> np.ndarray:
     """Advance a batch of replicas one hostile-world round (batched engine)."""
     counts = np.asarray(counts, dtype=np.int64)
     _validate_scenario_counts(scenario, counts, t, z)
-    result = _scenario_step(protocol, scenario, z, counts, keys, t, use_numba)
+    result = _scenario_step(protocol, scenario, z, counts, keys, t)
     if recorder.enabled:
         timing = current_span(recorder)
         timing.incr("batch_steps")

@@ -8,7 +8,7 @@ by the ``REPRO_FAULT`` environment variable::
     REPRO_FAULT=ensemble:after_replica:7   # die when the 7th replica converges
     REPRO_FAULT=ensemble:after_round:25    # die after the 25th lock-step round
     REPRO_FAULT=checkpoint:after_tmp_write # die between tmp write and rename
-    REPRO_FAULT=trace:mid_write:30         # die half-way through trace line 30
+    REPRO_FAULT=trace:mid_write:3          # die half-way through trace chunk 3
 
 The spec is ``<site>[:<hit>]`` — the trailing integer (default 1, 1-based)
 selects which visit to the site is fatal; everything before it is the site

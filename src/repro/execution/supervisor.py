@@ -34,10 +34,11 @@ each shard in its own worker process under supervision:
   statistics equal to the serial call's.  A shard file's signature names
   its replica range and the caller's entry state, and a file left by
   another seed or shard layout is refused before any worker starts.
-* **Telemetry.**  Workers write timing-free per-shard JSONL traces which
-  the parent merges deterministically (rounds sorted by ``(t, shard)``,
-  every shard record tagged with its ``shard`` index) into one trace that
-  ``repro trace validate`` accepts.
+* **Telemetry.**  Workers write timing-free per-shard columnar traces
+  which the parent merges deterministically (rounds sorted by
+  ``(t, shard)``, every shard record tagged with its ``shard`` index)
+  into one trace, in the configured format, that ``repro trace validate``
+  accepts.
 
 Fault-injection forwarding (how the smoke tests steer which worker dies):
 ``REPRO_FAULT`` is forwarded to *first attempts* only, so an injected kill
@@ -147,9 +148,10 @@ class SupervisorConfig:
             lock-step.
         backoff_cap_s: upper bound on the backoff delay.
         poll_s: supervision loop wakeup interval.
-        trace_format: container for shard traces and the merged trace —
-            ``"jsonl"`` or ``"columnar"`` (see docs/OBSERVABILITY.md,
-            "Trace formats").
+        trace_format: format of the merged trace — ``"jsonl"`` or
+            ``"columnar"`` (see docs/OBSERVABILITY.md, "Trace formats").
+            Shard traces are always columnar: the merge reads them back
+            and deletes them.
     """
 
     workers: int = 1
@@ -434,10 +436,9 @@ def run_supervised_ensemble(
         supervisor: pool configuration (default :class:`SupervisorConfig`).
         engine: stepping backend forwarded to every shard's
             :func:`~repro.dynamics.run.simulate_ensemble` (``None`` means
-            the default ``"batched"``; see docs/ENGINES.md).  Part of the
-            result identity only through its engine *family* — the
-            ``batched``/``loop`` families are bit-identical to each other,
-            ``lockstep`` is a different (equally valid) stream.
+            the default ``"batched"``; see docs/ENGINES.md).  ``batched``
+            and ``loop`` are bit-identical to each other; ``lockstep`` is a
+            different (equally valid) stream.
         recorder: parent-side recorder; observes the run's provenance, a
             ``supervise`` span with shard/retry/timeout counters, and the
             closing summary (per-round records live in the merged trace).
@@ -449,8 +450,9 @@ def run_supervised_ensemble(
             :class:`~repro.execution.checkpoint.CheckpointError` before
             any worker starts.
         checkpoint_every: cadence forwarded to every shard checkpointer.
-        trace_path: write one merged, deterministically-ordered JSONL
-            trace here (per-shard traces are merged and removed).
+        trace_path: write one merged, deterministically-ordered trace
+            here, in ``supervisor.trace_format`` (per-shard traces are
+            merged and removed).
         guard: a :class:`~repro.execution.shutdown.ShutdownGuard`; after
             SIGINT/SIGTERM the pool is torn down at the next supervision
             wakeup and :class:`GracefulExit` raised (shard checkpoints
@@ -481,20 +483,19 @@ def run_supervised_ensemble(
             f"protocol {protocol.name!r} violates Proposition 3; its "
             "convergence time is infinite (see time_to_leave_consensus)"
         )
-    from repro.dynamics.batched import engine_family, resolve_engine
+    from repro.dynamics.batched import resolve_engine
 
     # Resolved in the parent so an invalid name fails fast (not as N worker
-    # crash-retry cycles), and normalized to the stream-identity family so
-    # provenance matches what the shards actually run.
-    family = engine_family(resolve_engine(engine))
+    # crash-retry cycles), and so provenance names what the shards run.
+    engine = resolve_engine(engine)
     # Resolved in the parent for the same reason as the engine: a bad spec
     # fails fast, and every shard then steps the exact same hostile world.
     from repro.dynamics.scenarios import as_scenario
 
     scenario = as_scenario(scenario, config.n)
-    if scenario is not None and family not in ("batched", "loop"):
+    if scenario is not None and engine not in ("batched", "loop"):
         raise ValueError(
-            f"scenarios require a keyed engine family (batched/loop), got {family!r}"
+            f"scenarios require a keyed engine (batched/loop), got {engine!r}"
         )
     settle = scenario.settle_round(max_rounds) if scenario is not None else 0
     shards = cfg.shards if cfg.shards is not None else min(replicas, cfg.workers)
@@ -510,7 +511,7 @@ def run_supervised_ensemble(
         # vary with the worker count.
         provenance_params = dict(
             n=config.n, z=config.z, x0=config.x0, max_rounds=max_rounds,
-            replicas=replicas, shards=shards, engine=family,
+            replicas=replicas, shards=shards, engine=engine,
         )
         if scenario is not None:
             provenance_params["scenario"] = scenario.spec()
@@ -521,7 +522,7 @@ def run_supervised_ensemble(
     # the retry schedule becomes a pure function of (run seed, shard
     # index), reproducible across reruns and independent of worker count.
     backoff_key = rng_provenance(rng)["state_hash"]
-    if family in ("batched", "loop"):
+    if engine in ("batched", "loop"):
         # Every shard derives its keys from the caller's entry state and
         # keeps its own range; the caller's generator then advances as
         # the serial call's key derivation advances it.
@@ -537,7 +538,7 @@ def run_supervised_ensemble(
 
         _refuse_foreign_checkpoints(checkpoint_base, [
             _ensemble_signature(
-                protocol, config, max_rounds, shard_rngs[k], sizes[k], family,
+                protocol, config, max_rounds, shard_rngs[k], sizes[k], engine,
                 scenario, firsts[k],
             )
             for k in range(shards)
@@ -620,10 +621,10 @@ def run_supervised_ensemble(
             checkpoint_path=_shard_path(checkpoint_base, index),
             checkpoint_every=checkpoint_every,
             # Timing-free traces, so the merged trace is a pure function
-            # of the seed, the shard count and the container format.
+            # of the seed, the shard count and the merged format.
             recording=Recording(
                 trace_path=_shard_path(trace_path, index),
-                trace_format=cfg.trace_format, trace_timings=False,
+                trace_format="columnar", trace_timings=False,
                 heartbeat_path=shard_heartbeat_path(index),
                 heartbeat_every_s=heartbeat_every_s,
                 role="shard", shard=index, attempt=attempt,
@@ -632,7 +633,7 @@ def run_supervised_ensemble(
                     else Path(profile_dir) / f"shard{index}.prof"
                 ),
             ),
-            engine=family,
+            engine=engine,
             scenario=scenario,
         )
         pool.start(
@@ -778,10 +779,9 @@ def _write_merged_trace(
     timing-free, so the merged bytes are a pure function of the seed,
     shard count, and container format.  A shard that resumed a
     *complete* checkpoint replays its stored result without re-simulating
-    and thus contributes no round records.  Shard traces are read
-    format-agnostically (sniffed) and the merge is emitted in
-    ``trace_format``; written atomically (tmp + fsync + rename); consumed
-    shard traces are removed.
+    and thus contributes no round records.  Shard traces are columnar;
+    the merge is emitted in ``trace_format``, written atomically (tmp +
+    fsync + rename), and consumed shard traces are removed.
     """
     rounds: List[dict] = []
     spans: List[dict] = []

@@ -32,8 +32,10 @@ The HTTP layer (:class:`ServiceServer`) is the repository's one stdlib
 server, :class:`repro.telemetry.prometheus.MetricsServer`, with the
 service's routes, sharing the store lock with the dispatch loop.
 ``GET /jobs/<id>`` supports ``?wait_s=`` long-polling so clients can
-stream status cheaply; ``GET /jobs/<id>/trace`` tails the job's trace via
-:func:`repro.analysis.watch.tail_trace_round` (columnar or JSONL);
+stream status cheaply: it returns at the first change of the job's state
+or attempt, so a client waiting for the end polls until the state is
+terminal.  ``GET /jobs/<id>/trace`` tails the job's trace via
+:func:`repro.analysis.watch.tail_trace_round`, live while it runs;
 ``/metrics`` renders :meth:`Service.metrics_text`.
 """
 
@@ -392,7 +394,11 @@ class Service:
         return doc
 
     def trace_tail(self, job_id: str) -> Dict[str, Any]:
-        """The last complete round of the job's trace (404 material if off)."""
+        """The last complete round of the job's trace, live while it runs.
+
+        404 material if the job is untraced.  A running job's trace is
+        its staging file, which grows one chunk (4096 rounds) at a time.
+        """
         from repro.analysis.watch import tail_trace_round
 
         job = self.store.get(job_id)
@@ -402,8 +408,7 @@ class Service:
                 f"job {job_id} was submitted without tracing "
                 f"(spec 'trace' is null)"
             )
-        tail = tail_trace_round(path) if path.exists() else None
-        return {"job": job_id, "trace": str(path), "round": tail}
+        return {"job": job_id, "trace": str(path), "round": tail_trace_round(path)}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ flat sequence of frames; :class:`FrameScan` yields the bodies of its
 longest valid prefix, stopping at the first frame that is short, carries
 another magic, or fails its length or CRC check, and never raises.  It
 reads every frame it passes, so its cost is linear in the file size.
+Walked in ``reversed`` order it steps back from the end over each
+frame's ``total_len`` instead, so reading the last frame costs that frame.
 
 **Publishing** — :func:`publish` writes ``<name>.tmp``, fsyncs it and
 renames it over the target, so readers see the old file or the new one.
@@ -26,6 +28,8 @@ the ``.tmp`` for salvage), or appended in place.
 ([b'first'], 21, 'torn frame body (truncated file?)')
 >>> scan.next_frame() is None                # nothing valid past the tear
 True
+>>> list(reversed(FrameScan(log, b"RJNL")))  # last frame first
+[b'second', b'first']
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ __all__ = [
     "FrameScan",
     "Stream",
     "frame",
-    "has_magic",
     "publish",
     "staging_path",
     "truncate",
@@ -55,6 +58,7 @@ STAGING_SUFFIX = ".tmp"
 _HEAD = struct.Struct("<4sI")   # magic, body_len
 _FOOT = struct.Struct("<II")    # crc32(body), total_len
 _OVERHEAD = _HEAD.size + _FOOT.size
+_U32 = struct.Struct("<I")      # the trailing total_len alone
 
 
 def frame(magic: bytes, body: bytes) -> bytes:
@@ -89,6 +93,29 @@ class FrameScan:
                 return
             yield body
             self.end += len(body) + _OVERHEAD
+
+    def __reversed__(self) -> Iterator[bytes]:
+        """Iterate the bodies of the longest valid suffix of frames, last first.
+
+        Each step reads the trailing ``total_len`` of the frame that ends
+        at the current offset and checks that frame whole, CRC included.
+        While iterating, :attr:`end` is the offset of the frame just
+        yielded; afterwards it is where the valid suffix starts (``0`` when
+        every frame checks out), and :attr:`error` says why the walk
+        stopped short of offset 0.
+        """
+        self.end, self.error = len(self.data), None
+        while self.end > 0:
+            body = None
+            if self.end >= _OVERHEAD:
+                (total_len,) = _U32.unpack_from(self.data, self.end - _U32.size)
+                if _OVERHEAD <= total_len <= self.end:
+                    body, self.error = self._frame_at(self.end - total_len)
+            if body is None or len(body) + _OVERHEAD != total_len:
+                self.error = self.error or "CRC or length mismatch (corrupt frame)"
+                return
+            self.end -= total_len
+            yield body
 
     def next_frame(self) -> Optional[int]:
         """Offset of the first valid frame at or after :attr:`end`, if any.
@@ -152,12 +179,6 @@ def truncate(path: Union[str, Path], size: int) -> None:
         os.fsync(handle.fileno())
 
 
-def has_magic(path: Union[str, Path], magic: bytes) -> bool:
-    """Whether the file starts with ``magic``; ``OSError`` if unreadable."""
-    with open(path, "rb") as handle:
-        return handle.read(len(magic)) == magic
-
-
 class Stream:
     """A file written one record per ``write(2)``, durable after :meth:`sync`.
 
@@ -165,14 +186,14 @@ class Stream:
     :meth:`close` syncs it and renames it over ``path`` (no record, no
     file); ``staged=False`` opens ``path`` for appending at once, and its
     owner syncs what it acknowledges.  On the fatal visit of crashpoint
-    ``torn_site`` a write stores half its record (at least one byte),
-    syncs and dies; ``after_site`` dies after a whole synced record.
+    ``torn_site`` (if given) a write stores half its record (at least one
+    byte), syncs and dies; ``after_site`` dies after a whole synced record.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
-        torn_site: str,
+        torn_site: Optional[str] = None,
         after_site: Optional[str] = None,
         *,
         staged: bool = True,
@@ -186,7 +207,7 @@ class Stream:
     def write(self, record: bytes) -> None:
         if self._file is None:
             self._file = staging_path(self.path).open("wb", buffering=0)
-        if faults.should_trip(self._torn_site):
+        if self._torn_site is not None and faults.should_trip(self._torn_site):
             self._file.write(record[: max(1, len(record) // 2)])
             self.sync()
             faults.trip(self._torn_site)

@@ -6,14 +6,15 @@ the exact pre-telemetry code path).  Three concrete recorders ship:
 
 * :class:`MetricsRecorder` — O(1)-memory aggregates: rounds, wall-clock,
   rounds/sec, realized drift.
-* :class:`JsonlTraceWriter` — streams one JSON record per round, plus a
-  provenance header (protocol fingerprint, RNG state hash, parameters) and
-  a closing summary.
-* :class:`ColumnarTraceWriter` — the same record stream in a chunked
-  binary column container (``--trace-format columnar``): cheaper on the
-  hot path, memory-mappable for analytics, losslessly convertible to and
-  from JSONL (:func:`jsonl_to_columnar` / :func:`columnar_to_jsonl`);
-  :func:`open_trace_writer` picks the sink from a format name.
+* :class:`ColumnarTraceWriter` — the one trace sink: one record per
+  round, plus a provenance header (protocol fingerprint, RNG state hash,
+  parameters) and a closing summary, streamed as a chunked binary column
+  container and published at close as that container
+  (``--trace-format columnar``) or as JSON lines (``jsonl``);
+  :func:`open_trace_writer` builds it from a format name.  The formats
+  convert losslessly (:func:`jsonl_to_columnar` /
+  :func:`columnar_to_jsonl`), and every reader sniffs which one it has
+  (:func:`detect_trace_format`).
 * :class:`TeeRecorder` / :func:`compose_recorders` — fan events out to both.
 
 Stage-level timing uses :func:`span` — named, nestable wall-clock spans
@@ -52,7 +53,6 @@ from repro.telemetry.columnar import (
     ColumnarTraceWriter,
     columnar_tail_round,
     columnar_to_jsonl,
-    detect_trace_format,
     jsonl_to_columnar,
     load_columnar_data,
     open_trace_writer,
@@ -60,7 +60,7 @@ from repro.telemetry.columnar import (
     write_trace_records,
 )
 from repro.telemetry.jsonl import (
-    JsonlTraceWriter,
+    detect_trace_format,
     read_trace,
     trace_counts,
     trace_to_series,
@@ -116,7 +116,6 @@ __all__ = [
     "run_provenance",
     "protocol_fingerprint",
     "rng_provenance",
-    "JsonlTraceWriter",
     "ColumnarTraceData",
     "ColumnarTraceWriter",
     "COLUMNAR_SUFFIX",

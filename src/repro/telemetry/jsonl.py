@@ -1,42 +1,34 @@
-"""Streaming JSON-lines traces: write, read back, and validate.
+"""Trace records read back and validated, in either on-disk format.
 
 A trace is one ``run_start`` record, zero or more ``round`` and ``span``
-records, and one ``run_end`` record, one JSON object per line.  The exact
-field-by-field schema is documented in ``docs/OBSERVABILITY.md``;
-:func:`validate_trace` is that document's executable counterpart and is
-what ``make trace-smoke`` runs.
+records, and one ``run_end`` record.  The exact field-by-field schema is
+documented in ``docs/OBSERVABILITY.md``; :func:`validate_trace` is that
+document's executable counterpart and is what ``make trace-smoke`` runs.
 
-Durability: path-targeted traces are streamed to ``<path>.tmp`` — one
-unbuffered binary write per record, so every completed record reaches the
-OS as it happens — and renamed over ``path`` on
-:meth:`JsonlTraceWriter.close` (after a flush + fsync), so a trace
-observed at its target path is never half-written; a hard kill leaves the
-written prefix in the ``.tmp`` file instead.  ``read_trace``/
-``validate_trace`` accept ``salvage=True`` to recover the valid prefix of
-such a truncated trace; strict rejection stays the default.  See
-docs/OBSERVABILITY.md, "Durability & fault model".
-
-Both functions sniff the on-disk format: pointed at a columnar container
-(:mod:`repro.telemetry.columnar`, magic ``RCOL``) they delegate to its
-reader and validate the decoded records against the *same* schema, so
-every trace consumer works on either format transparently.
+On disk a trace is JSON lines (one object per line) or the columnar
+container (:mod:`repro.telemetry.columnar`, magic ``RCOL``).  One sink,
+:class:`~repro.telemetry.columnar.ColumnarTraceWriter`, writes both: it
+streams the container to ``<path>.tmp`` and publishes the requested
+format at close.  :func:`detect_trace_format` tells the two apart by the
+leading bytes, and :func:`read_trace` / :func:`validate_trace` sniff with
+it, so every consumer reads a JSONL trace, a columnar trace and a killed
+run's staging file alike.  ``salvage=True`` recovers the valid prefix of
+a truncated trace (a torn line or a torn chunk); strict rejection stays
+the default.  See docs/OBSERVABILITY.md, "Durability & fault model".
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from pathlib import Path
-from typing import Any, Dict, IO, List, Mapping, Optional, Union
+from typing import Any, Dict, IO, List, Optional, Union
 
-from repro import storage
-from repro.telemetry.recorder import Recorder, RunProvenance, TRACE_SCHEMA_VERSION
-from repro.telemetry.spans import SpanRecord
+from repro.telemetry.recorder import TRACE_SCHEMA_VERSION
 
 __all__ = [
     "COLUMNAR_MAGIC",
-    "JsonlTraceWriter",
+    "detect_trace_format",
     "read_trace",
     "trace_counts",
     "trace_to_series",
@@ -54,199 +46,16 @@ reader can sniff the format without importing the columnar machinery
 until a columnar file is actually met.
 """
 
-# json.dumps(..., sort_keys=True) constructs a fresh JSONEncoder on every
-# call; binding one encoder once removes that per-record cost.  Same
-# defaults as json.dumps, so the emitted bytes are unchanged.
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
+def detect_trace_format(path: Union[str, Path]) -> str:
+    """``"columnar"`` when ``path`` starts with the container magic, else ``"jsonl"``.
 
-class TraceWriterBase(Recorder):
-    """Recorder that turns run events into schema-v1 trace records.
-
-    Subclasses implement the storage: :meth:`_write` receives each
-    finished record dict in stream order (:class:`JsonlTraceWriter` dumps
-    it as a JSON line, :class:`~repro.telemetry.columnar.
-    ColumnarTraceWriter` batches rounds into binary column chunks).  The
-    record-*building* logic lives here, once, so both sinks emit
-    value-identical records and a trace converted between formats is
-    lossless by construction.
+    The one format sniff every trace reader uses; ``OSError`` when the
+    file cannot be read.
     """
-
-    def __init__(self, include_timings: bool = True) -> None:
-        self.include_timings = include_timings
-        self.records_written = 0
-        self._previous_count: Optional[float] = None
-        self._started_at: Optional[float] = None
-        self._last_seen_at: Optional[float] = None
-        self._rounds = 0
-
-    # ------------------------------------------------------------------
-    # Recorder hooks
-    # ------------------------------------------------------------------
-
-    def run_started(self, provenance: RunProvenance) -> None:
-        record: Dict[str, Any] = {
-            "kind": "run_start",
-            "schema": TRACE_SCHEMA_VERSION,
-        }
-        record.update(provenance.to_dict())
-        # Resumed runs anchor the first drift on the restored count, not x0,
-        # so a resumed trace's round records match the uninterrupted run's.
-        anchor = provenance.params.get("resumed_count")
-        if anchor is None:
-            anchor = provenance.params.get("x0")
-        self._previous_count = float(anchor) if anchor is not None else None
-        self._started_at = self._last_seen_at = time.perf_counter()
-        self._write(record)
-
-    def round_recorded(
-        self, t: int, count: float, extra: Optional[Mapping[str, Any]] = None
-    ) -> None:
-        record: Dict[str, Any] = {"kind": "round", "t": int(t), "count": _number(count)}
-        if self._previous_count is not None:
-            record["drift"] = _number(float(count) - self._previous_count)
-        self._previous_count = float(count)
-        if self.include_timings:
-            now = time.perf_counter()
-            if self._last_seen_at is not None:
-                record["wall_s"] = now - self._last_seen_at
-            self._last_seen_at = now
-        if extra:
-            record.update({key: _number(value) for key, value in extra.items()})
-        self._rounds += 1
-        self._write(record)
-
-    def span_recorded(self, span: SpanRecord) -> None:
-        record: Dict[str, Any] = {
-            "kind": "span",
-            "name": span.name,
-            "path": span.path,
-            "depth": span.depth,
-            "counters": {key: _number(value) for key, value in span.counters.items()},
-        }
-        if self.include_timings:
-            record["wall_s"] = span.wall_s
-        self._write(record)
-
-    def run_finished(self, summary: Mapping[str, Any]) -> None:
-        record: Dict[str, Any] = {"kind": "run_end"}
-        record.update({key: _number(value) for key, value in summary.items()})
-        record["rounds_recorded"] = self._rounds
-        if self.include_timings and self._started_at is not None:
-            wall = time.perf_counter() - self._started_at
-            record["wall_clock_s"] = wall
-            record["rounds_per_second"] = self._rounds / wall if wall > 0 else 0.0
-        self._write(record)
-
-    # ------------------------------------------------------------------
-    # Storage interface
-    # ------------------------------------------------------------------
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def flush(self) -> None:  # pragma: no cover - trivially overridden
-        pass
-
-    def close(self) -> None:  # pragma: no cover - trivially overridden
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class JsonlTraceWriter(TraceWriterBase):
-    """Stream a run as JSON-lines records to a path or an open text file.
-
-    One ``round`` record is written per observed round as a single
-    unbuffered binary write, so every completed record reaches the OS as
-    it happens and a process that dies mid-run leaves a salvageable prefix
-    (see ``salvage=True`` on :func:`read_trace`/:func:`validate_trace`).
-    A path target is written as ``<path>.tmp`` (a staged
-    :class:`repro.storage.Stream`) and atomically renamed into place on
-    :meth:`close`, so the trace at the target path is never observably
-    half-written.  Use as a context manager, or call :meth:`close`
-    explicitly; the file is opened lazily on the first record.
-
-    Args:
-        target: output path or an already-open text file (not closed by us,
-            written in place and only flushed: its durability is yours).
-        include_timings: when ``False``, omit the wall-clock fields
-            (``wall_s``, ``wall_clock_s``, ``rounds_per_second``) so that
-            traces of seed-identical runs are byte-identical — the mode the
-            determinism tests use.
-    """
-
-    def __init__(self, target: PathOrFile, include_timings: bool = True) -> None:
-        super().__init__(include_timings)
-        self._stream: Optional[storage.Stream] = None
-        self._file: Optional[IO[str]] = None
-        if isinstance(target, (str, Path)):
-            # Unbuffered raw binary: each record is one write(2) straight to
-            # the OS, so a killed process leaves a salvageable prefix — the
-            # line-buffered TextIOWrapper gave the same guarantee but paid a
-            # per-write newline scan and encoder pass on top.
-            self._stream = storage.Stream(
-                target, "trace:mid_write", "trace:after_write"
-            )
-        else:
-            self._file = target
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def flush(self) -> None:
-        """Flush, and fsync a path target's ``.tmp`` file.
-
-        :class:`~repro.execution.ShutdownGuard` calls this (via
-        ``register``) before a graceful exit so an interrupted trace is
-        durable on disk, not sitting in user-space buffers.
-        """
-        if self._stream is not None:
-            self._stream.sync()
-        else:
-            self._file.flush()
-
-    def close(self) -> None:
-        """Flush, fsync, close, and publish the trace at its target path.
-
-        For path targets, the tmp file is atomically renamed over the
-        target only here — a completed trace is never observably
-        half-written, and a hard kill leaves ``<path>.tmp`` for salvage.
-        """
-        if self._stream is not None:
-            self._stream.close()
-        else:
-            self._file.flush()
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        line = _ENCODE(record) + "\n"
-        if self._stream is not None:
-            self._stream.write(line.encode("utf-8"))
-        else:
-            self._file.write(line)
-        self.records_written += 1
-
-
-def _number(value):
-    """Coerce numpy scalars to plain Python so json keeps the trace portable."""
-    if hasattr(value, "item"):
-        return value.item()
-    return value
-
-
-def _is_columnar(path: PathOrFile) -> bool:
-    """True when ``path`` names an on-disk columnar container (by magic)."""
-    if not isinstance(path, (str, Path)):
-        return False
-    try:
-        return storage.has_magic(path, COLUMNAR_MAGIC)
-    except OSError:
-        return False
+    with open(path, "rb") as handle:
+        columnar = handle.read(len(COLUMNAR_MAGIC)) == COLUMNAR_MAGIC
+    return "columnar" if columnar else "jsonl"
 
 
 def read_trace(path: PathOrFile, salvage: bool = False) -> List[Dict[str, Any]]:
@@ -261,7 +70,7 @@ def read_trace(path: PathOrFile, salvage: bool = False) -> List[Dict[str, Any]]:
     too — a trace is an ordered stream, and records beyond a corruption
     point have lost their provenance.
     """
-    if _is_columnar(path):
+    if isinstance(path, (str, Path)) and detect_trace_format(path) == "columnar":
         from repro.telemetry.columnar import read_columnar_trace
 
         return read_columnar_trace(path, salvage=salvage)
@@ -328,7 +137,7 @@ _REQUIRED_START_KEYS = ("schema", "runner", "protocol", "params", "rng")
 def validate_trace(path: PathOrFile, salvage: bool = False) -> List[Dict[str, Any]]:
     """Validate a trace against the documented schema; return its records.
 
-    Works on both sinks — the format is sniffed exactly as in
+    Works on both formats — the format is sniffed exactly as in
     :func:`read_trace`, and the decoded records face the same
     :func:`validate_records` checks: the first record is a ``run_start``
     with the supported schema version and all provenance sections; every

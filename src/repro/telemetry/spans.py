@@ -10,7 +10,7 @@ The zero-overhead contract extends to spans: :func:`span` returns the
 shared no-op :data:`NULL_SPAN` when the recorder is disabled, so guarded
 call sites cost one attribute check.  Enabled spans are emitted through the
 ``span_recorded`` hook of :class:`~repro.telemetry.recorder.Recorder` when
-they exit — :class:`MetricsRecorder` aggregates them, ``JsonlTraceWriter``
+they exit — :class:`MetricsRecorder` aggregates them, ``ColumnarTraceWriter``
 streams them as ``span`` records (schema in docs/OBSERVABILITY.md).
 """
 

@@ -22,12 +22,12 @@ from repro.dynamics.config import Configuration, wrong_consensus_configuration
 from repro.dynamics.rng import make_rng
 from repro.dynamics.run import simulate, simulate_ensemble
 from repro.protocols import minority, voter
-from repro.telemetry import JsonlTraceWriter
+from repro.telemetry import open_trace_writer
 
 
 def _write_trace(path, protocol, n=80, seed=0, rounds=50_000):
     config = wrong_consensus_configuration(n, z=1)
-    with JsonlTraceWriter(path) as writer:
+    with open_trace_writer(path, "jsonl") as writer:
         result = simulate(protocol, config, rounds, make_rng(seed), recorder=writer)
     return result
 
@@ -58,7 +58,7 @@ class TestSummarizeTrace:
     def test_ensemble_trace_summarizes(self, tmp_path):
         path = tmp_path / "e.jsonl"
         config = wrong_consensus_configuration(64, z=1)
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             simulate_ensemble(
                 voter(1), config, 20_000, make_rng(1), replicas=3, recorder=writer
             )
@@ -379,7 +379,7 @@ class TestScenarioReporting:
 
     def _write_hostile(self, path, seed=5, replicas=4):
         config = Configuration(n=48, z=1, x0=24)
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             simulate_ensemble(
                 voter(1), config, 4000, make_rng(seed), replicas=replicas,
                 recorder=writer, scenario=self.SPEC,

@@ -22,10 +22,8 @@ from repro.core.protocol import Protocol
 from repro.dynamics.batched import (
     DEFAULT_ENGINE,
     ENGINES,
-    HAVE_NUMBA,
     binomial_icdf,
     counter_uniforms,
-    engine_family,
     replica_keys,
     resolve_engine,
     step_count_keyed,
@@ -59,23 +57,6 @@ class TestEngineRegistry:
                 voter(1), Configuration(n=20, z=1, x0=10), 5, make_rng(0), 3,
                 engine="warp",
             )
-
-    def test_numba_falls_back_to_batched_when_absent(self):
-        resolved = resolve_engine("batched+numba")
-        if HAVE_NUMBA:
-            assert resolved == "batched+numba"
-        else:
-            assert resolved == "batched"
-        # Either way the stream identity is the batched family.
-        assert engine_family(resolved) == "batched"
-
-    def test_numba_request_runs_and_matches_batched(self):
-        config = wrong_consensus_configuration(64, 1)
-        a = simulate_ensemble(
-            voter(1), config, 2000, make_rng(5), 6, engine="batched+numba"
-        )
-        b = simulate_ensemble(voter(1), config, 2000, make_rng(5), 6, engine="batched")
-        np.testing.assert_array_equal(a, b)
 
 
 class TestReplicaKeys:
@@ -526,10 +507,10 @@ class TestTelemetryContract:
         assert spans["ensemble"].counters["replica_steps"] >= 6
 
     def test_provenance_records_engine(self, tmp_path):
-        from repro.telemetry import JsonlTraceWriter, read_trace
+        from repro.telemetry import open_trace_writer, read_trace
 
         path = tmp_path / "t.jsonl"
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             simulate_ensemble(
                 voter(1), wrong_consensus_configuration(48, 1), 500,
                 make_rng(3), 4, recorder=writer,

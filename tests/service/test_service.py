@@ -440,21 +440,29 @@ class TestHTTPAPI:
         assert listing["counts"]["done"] == 1
 
     def test_long_poll_returns_terminal_state(self, api):
+        # A long poll returns at the first change of state or attempt, so
+        # a client polls again until the job is terminal.
         service, url = api
         _, created = self.post(f"{url}/jobs", dict(FAST))
         job_id = created["job"]["id"]
-        import threading
-
-        poller = {}
+        replies = []
 
         def poll():
-            poller["doc"] = self.get(f"{url}/jobs/{job_id}?wait_s=30")[1]
+            seen = (created["job"]["state"], created["job"]["attempt"])
+            while True:
+                doc = self.get(f"{url}/jobs/{job_id}?wait_s=30")[1]
+                replies.append((seen, doc))
+                if doc["state"] in ("done", "failed", "cancelled"):
+                    return
+                seen = (doc["state"], doc["attempt"])
 
         thread = threading.Thread(target=poll)
         thread.start()
         assert service.drain(timeout_s=60)
         thread.join(timeout=60)
-        assert poller["doc"]["state"] == "done"
+        assert replies[-1][1]["state"] == "done"
+        for seen, doc in replies[:-1]:
+            assert (doc["state"], doc["attempt"]) != seen
 
     def test_bad_submission_is_a_400(self, api):
         _, url = api
@@ -482,6 +490,32 @@ class TestHTTPAPI:
         _, tail = self.get(f"{url}/jobs/{created['job']['id']}/trace")
         assert tail["round"] is not None
         assert tail["round"]["kind"] == "round"
+
+    @pytest.mark.parametrize("trace_format", ["jsonl", "columnar"])
+    def test_trace_tail_is_live_while_the_job_runs(self, api, trace_format):
+        service, url = api
+        # Minutes of work: the trace stays at its staging name throughout.
+        spec = {"kind": "ensemble", "protocol": "voter", "n": 100_000,
+                "replicas": 2, "max_rounds": 10_000_000, "seed": 3,
+                "checkpoint_every": 10**9, "trace": trace_format}
+        _, created = self.post(f"{url}/jobs", spec)
+        job_id = created["job"]["id"]
+        deadline = time.monotonic() + 30
+        try:
+            while time.monotonic() < deadline:
+                service.tick()
+                _, tail = self.get(f"{url}/jobs/{job_id}/trace")
+                if tail["round"] is not None:
+                    break
+                time.sleep(0.05)
+            state = service.store.get(job_id).state
+            published = os.path.exists(tail["trace"])
+        finally:
+            service.cancel(job_id)
+        assert tail["round"] is not None, "no live round within 30 s"
+        assert state == "running" and not published
+        assert tail["round"]["kind"] == "round"
+        assert tail["round"]["t"] >= 4096  # one whole chunk has landed
 
     def test_metrics_exposition_is_valid(self, api):
         service, url = api

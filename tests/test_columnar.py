@@ -13,7 +13,6 @@ from repro.dynamics.run import simulate
 from repro.protocols import voter
 from repro.telemetry import (
     ColumnarTraceWriter,
-    JsonlTraceWriter,
     columnar_tail_round,
     columnar_to_jsonl,
     detect_trace_format,
@@ -22,11 +21,16 @@ from repro.telemetry import (
     open_trace_writer,
     read_columnar_trace,
     read_trace,
+    run_provenance,
     validate_trace,
     write_trace_records,
 )
 from repro.telemetry.columnar import TRACE_FORMATS
 from repro.telemetry.jsonl import COLUMNAR_MAGIC
+
+
+def _provenance():
+    return run_provenance("simulate", voter(1), make_rng(0), n=20, z=1, x0=5)
 
 
 def _traced_run(path, trace_format, seed=3, chunk_rounds=None, n=80):
@@ -93,6 +97,53 @@ class TestColumnarSink:
         with pytest.raises(ValueError, match="unknown trace format"):
             open_trace_writer(tmp_path / "x", "parquet")
         assert TRACE_FORMATS == ("jsonl", "columnar")
+
+
+class TestJsonlRequest:
+    """A JSONL request streams the container and publishes lines at close."""
+
+    def test_streams_chunks_then_publishes_json_lines(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        staging = tmp_path / "run.jsonl.tmp"
+        writer = open_trace_writer(
+            path, "jsonl", include_timings=False, chunk_rounds=8
+        )
+        simulate(voter(1), wrong_consensus_configuration(80, z=1), 50_000,
+                 make_rng(3), recorder=writer)
+        assert not path.exists()
+        assert detect_trace_format(staging) == "columnar"
+        records = read_trace(staging)
+        writer.close()
+        assert not staging.exists()
+        assert detect_trace_format(path) == "jsonl"
+        expected = tmp_path / "expected.jsonl"
+        write_trace_records(expected, records, "jsonl")
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_flush_drains_the_round_buffer(self, tmp_path):
+        writer = open_trace_writer(tmp_path / "run.jsonl", "jsonl")
+        writer.run_started(_provenance())
+        writer.round_recorded(1, 10)
+        writer.flush()
+        staged = read_trace(tmp_path / "run.jsonl.tmp")
+        assert [r["kind"] for r in staged] == ["run_start", "round"]
+        writer.close()
+
+    def test_close_after_a_failed_run_still_publishes(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(RuntimeError, match="boom"):
+            with open_trace_writer(path, "jsonl") as writer:
+                writer.run_started(_provenance())
+                writer.round_recorded(1, 10)
+                raise RuntimeError("boom")
+        assert [r["kind"] for r in read_trace(path)] == ["run_start", "round"]
+        with pytest.raises(ValueError, match="run_end"):
+            validate_trace(path)
+
+    @pytest.mark.parametrize("trace_format", TRACE_FORMATS)
+    def test_no_record_publishes_nothing(self, tmp_path, trace_format):
+        open_trace_writer(tmp_path / "run", trace_format).close()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSalvage:

@@ -49,10 +49,10 @@ class TestTraceDeterminism:
 
     @staticmethod
     def _trace_bytes(path, seed):
-        from repro.telemetry import JsonlTraceWriter
+        from repro.telemetry import open_trace_writer
 
         config = Configuration(n=120, z=1, x0=60)
-        with JsonlTraceWriter(path, include_timings=False) as writer:
+        with open_trace_writer(path, "jsonl", include_timings=False) as writer:
             simulate(voter(1), config, 50_000, make_rng(seed), recorder=writer)
         return path.read_bytes()
 
@@ -78,13 +78,13 @@ class TestTraceDeterminism:
         np.testing.assert_array_equal(bare.trajectory, recorded.trajectory)
 
     def test_timed_traces_still_structurally_equal(self, tmp_path):
-        from repro.telemetry import JsonlTraceWriter, read_trace
+        from repro.telemetry import open_trace_writer, read_trace
 
         config = Configuration(n=120, z=1, x0=60)
         traces = []
         for name in ("a.jsonl", "b.jsonl"):
             path = tmp_path / name
-            with JsonlTraceWriter(path) as writer:
+            with open_trace_writer(path, "jsonl") as writer:
                 simulate(voter(1), config, 50_000, make_rng(9), recorder=writer)
             traces.append(read_trace(path))
         wall_keys = {"wall_s", "wall_clock_s", "rounds_per_second"}

@@ -13,12 +13,12 @@ from repro.protocols import voter
 from repro.telemetry import (
     NULL_RECORDER,
     NULL_SPAN,
-    JsonlTraceWriter,
     MetricsRecorder,
     Recorder,
     SpanRecord,
     TeeRecorder,
     current_span,
+    open_trace_writer,
     span,
 )
 
@@ -92,7 +92,7 @@ class TestSpanBasics:
 
         metrics = MetricsRecorder()
         path = tmp_path / "t.jsonl"
-        writer = JsonlTraceWriter(path)
+        writer = open_trace_writer(path, "jsonl")
         tee = TeeRecorder([metrics, writer])
         tee.run_started(run_provenance("x", voter(1), make_rng(0)))
         with span(tee, "stage"):
@@ -139,7 +139,7 @@ class TestWiredSpans:
         from repro.telemetry import validate_trace
 
         path = tmp_path / "run.jsonl"
-        writer = JsonlTraceWriter(path)
+        writer = open_trace_writer(path, "jsonl")
         config = wrong_consensus_configuration(64, z=1)
         simulate(voter(1), config, 50_000, make_rng(0), recorder=writer)
         writer.close()

@@ -16,7 +16,11 @@ import pytest
 from repro import storage
 from repro.execution import faults
 from repro.service.jobstore import JOURNAL_MAGIC, JobStore, load_jobs
-from repro.telemetry.columnar import _encode_json_chunk, write_trace_records
+from repro.telemetry.columnar import (
+    _encode_json_chunk,
+    columnar_tail_round,
+    write_trace_records,
+)
 from repro.telemetry.jsonl import COLUMNAR_MAGIC, read_trace
 
 MAGICS = [COLUMNAR_MAGIC, JOURNAL_MAGIC]
@@ -71,6 +75,19 @@ class TestSalvageProperty:
             assert (scan.error is None) == (scan.end == cut)
             assert scan.next_frame() is None  # a torn tail, nothing after
 
+    def test_every_truncation_walks_back_only_from_a_frame_end(self, magic):
+        log, ends = _log(magic)
+        for cut in range(len(log) + 1):
+            scan = storage.FrameScan(log[:cut], magic)
+            backward = list(reversed(scan))
+            if cut in [0, *ends]:
+                whole = sum(end <= cut for end in ends)
+                assert backward == BODIES[:whole][::-1], cut
+                assert (scan.end, scan.error) == (0, None)
+            else:  # the last frame is torn: nothing checks out from EOF
+                assert backward == [], cut
+                assert (scan.end, scan.error is None) == (cut, False)
+
     def test_every_bit_flip_keeps_the_frames_before_it(self, magic):
         log, ends = _log(magic)
         for byte in range(len(log)):
@@ -85,6 +102,9 @@ class TestSalvageProperty:
                 # The frames after the damaged one are still found.
                 following = ends[damaged] if damaged + 1 < len(ends) else None
                 assert scan.next_frame() == following
+                # Walking back from EOF stops at the damaged frame.
+                assert list(reversed(scan)) == BODIES[damaged + 1:][::-1]
+                assert scan.end == ends[damaged] and scan.error is not None
 
 
 class TestPublishAndStream:
@@ -152,6 +172,9 @@ class TestFormatSweeps:
             whole = sum(end <= cut for end in ends)
             expected = records[: sum(per_chunk[:whole])]
             assert read_trace(cut_path, salvage=True) == expected, cut
+            rounds = [r for r in expected if r["kind"] == "round"]
+            tail = rounds[-1] if rounds else None
+            assert columnar_tail_round(cut_path) == tail, cut
 
     def test_job_journal_every_truncation(self, tmp_path):
         store = JobStore(tmp_path / "svc")

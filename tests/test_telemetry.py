@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.util
-import io
 import json
 import pathlib
 
@@ -25,12 +24,12 @@ from repro.dynamics.sequential import simulate_sequential
 from repro.protocols import minority, table_protocol, voter
 from repro.telemetry import (
     NULL_RECORDER,
-    JsonlTraceWriter,
     MetricsRecorder,
     NullRecorder,
     Recorder,
     TeeRecorder,
     compose_recorders,
+    open_trace_writer,
     protocol_fingerprint,
     read_trace,
     rng_provenance,
@@ -60,13 +59,14 @@ class TestNullRecorder:
         assert a.rounds == b.rounds
         np.testing.assert_array_equal(a.trajectory, b.trajectory)
 
-    def test_enabled_recorder_does_not_perturb_the_run(self):
+    def test_enabled_recorder_does_not_perturb_the_run(self, tmp_path):
         config = Configuration(n=150, z=1, x0=75)
         a = simulate(voter(1), config, 50_000, make_rng(12), record=True)
-        b = simulate(
-            voter(1), config, 50_000, make_rng(12), record=True,
-            recorder=JsonlTraceWriter(io.StringIO()),
-        )
+        with open_trace_writer(tmp_path / "run.jsonl", "jsonl") as writer:
+            b = simulate(
+                voter(1), config, 50_000, make_rng(12), record=True,
+                recorder=writer,
+            )
         assert a.rounds == b.rounds
         np.testing.assert_array_equal(a.trajectory, b.trajectory)
 
@@ -153,7 +153,7 @@ class TestJsonlRoundTrip:
     def test_simulate_trace_matches_run_result(self, tmp_path):
         path = tmp_path / "run.jsonl"
         config = Configuration(n=200, z=1, x0=1)
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             result = simulate(
                 voter(1), config, 50_000, make_rng(3), record=True, recorder=writer
             )
@@ -167,7 +167,7 @@ class TestJsonlRoundTrip:
 
     def test_drift_fields_telescope(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             simulate(voter(1), Configuration(n=100, z=1, x0=50), 50_000,
                      make_rng(6), recorder=writer)
         records = read_trace(path)
@@ -177,7 +177,7 @@ class TestJsonlRoundTrip:
 
     def test_censored_run_records_budget_rounds(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             result = simulate(minority(3), Configuration(n=500, z=1, x0=1), 20,
                               make_rng(0), recorder=writer)
         records = validate_trace(path)
@@ -188,7 +188,7 @@ class TestJsonlRoundTrip:
     def test_ensemble_trace(self, tmp_path):
         path = tmp_path / "ens.jsonl"
         config = Configuration(n=150, z=1, x0=75)
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             times = simulate_ensemble(minority(3), config, 200, make_rng(5), 20,
                                       recorder=writer)
         records = validate_trace(path)
@@ -203,7 +203,7 @@ class TestJsonlRoundTrip:
     def test_sequential_trace(self, tmp_path):
         path = tmp_path / "seq.jsonl"
         config = Configuration(n=40, z=1, x0=20)
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             result = simulate_sequential(voter(1), config, 10**7, make_rng(3),
                                          recorder=writer)
         records = validate_trace(path)
@@ -220,7 +220,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "esc.jsonl"
         protocol = minority(3)
         certificate = lower_bound_certificate(protocol)
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             escaped_at = escape_time(protocol, certificate, 256, 500, make_rng(1),
                                      recorder=writer)
         records = validate_trace(path)
@@ -233,7 +233,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "esce.jsonl"
         protocol = minority(3)
         certificate = lower_bound_certificate(protocol)
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             times = escape_time_ensemble(protocol, certificate, 256, 200,
                                          make_rng(1), 8, recorder=writer)
         records = validate_trace(path)
@@ -243,7 +243,7 @@ class TestJsonlRoundTrip:
     def test_time_to_leave_consensus_trace(self, tmp_path):
         path = tmp_path / "leave.jsonl"
         violator = table_protocol([0.3, 1.0], name="violator")
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             left_at = time_to_leave_consensus(violator, 64, 0, 1000, make_rng(2),
                                               recorder=writer)
         records = validate_trace(path)
@@ -253,7 +253,7 @@ class TestJsonlRoundTrip:
     def test_convergence_ensemble_forwards_recorder(self, tmp_path):
         path = tmp_path / "conv.jsonl"
         config = Configuration(n=150, z=1, x0=75)
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             stats = convergence_ensemble(minority(3), config, 200, make_rng(5), 10,
                                          recorder=writer)
         records = validate_trace(path)
@@ -266,7 +266,7 @@ class TestJsonlRoundTrip:
 
     def test_trace_to_series(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        with JsonlTraceWriter(path) as writer:
+        with open_trace_writer(path, "jsonl") as writer:
             result = simulate(voter(1), Configuration(n=100, z=1, x0=1), 50_000,
                               make_rng(3), record=True, recorder=writer)
         series = trace_to_series(path)
@@ -274,19 +274,11 @@ class TestJsonlRoundTrip:
         np.testing.assert_array_equal(series.y, result.trajectory.astype(float))
         np.testing.assert_array_equal(series.x, np.arange(len(result.trajectory)))
 
-    def test_writer_into_open_file_is_not_closed(self, tmp_path):
-        buffer = io.StringIO()
-        with JsonlTraceWriter(buffer) as writer:
-            simulate(voter(1), Configuration(n=50, z=1, x0=25), 50_000, make_rng(1),
-                     recorder=writer)
-        assert not buffer.closed
-        assert buffer.getvalue().count("\n") == writer.records_written
-
 
 class TestValidateTrace:
     def _trace_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with JsonlTraceWriter(path, include_timings=False) as writer:
+        with open_trace_writer(path, "jsonl", include_timings=False) as writer:
             simulate(voter(1), Configuration(n=60, z=1, x0=30), 50_000, make_rng(2),
                      recorder=writer)
         return path, path.read_text().splitlines()
@@ -334,7 +326,7 @@ class TestTraceEdgeCases:
 
     def _trace_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with JsonlTraceWriter(path, include_timings=False) as writer:
+        with open_trace_writer(path, "jsonl", include_timings=False) as writer:
             simulate(voter(1), Configuration(n=60, z=1, x0=30), 50_000, make_rng(2),
                      recorder=writer)
         return path, path.read_text().splitlines()

@@ -183,10 +183,10 @@ class TestTraceTailing:
         from repro.dynamics.rng import make_rng
         from repro.dynamics.run import simulate
         from repro.protocols import voter
-        from repro.telemetry import JsonlTraceWriter, jsonl_to_columnar
+        from repro.telemetry import jsonl_to_columnar, open_trace_writer
 
         jsonl = tmp_path / "run.jsonl"
-        with JsonlTraceWriter(jsonl, include_timings=False) as writer:
+        with open_trace_writer(jsonl, "jsonl", include_timings=False) as writer:
             simulate(
                 voter(1), Configuration(n=64, z=1, x0=1), 50_000,
                 make_rng(0), recorder=writer,
