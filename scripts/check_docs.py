@@ -10,7 +10,7 @@ Checks, over ``docs/*.md`` and ``README.md``:
 3. every engine named in ``repro.dynamics.batched.ENGINES`` is mentioned
    in docs/ENGINES.md (the backend contract must stay complete).
 
-Usage:  PYTHONPATH=src python scripts/check_docs.py
+Usage:  python scripts/check_docs.py
 Exits non-zero listing every violation.
 """
 
@@ -22,6 +22,11 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+try:
+    import repro  # noqa: F401
+except ModuleNotFoundError:  # running from a checkout without `pip install -e .`
+    sys.path.insert(0, str(ROOT / "src"))
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SYMBOL_RE = re.compile(r"`(repro\.[A-Za-z_][A-Za-z0-9_.]*[A-Za-z0-9_])`")

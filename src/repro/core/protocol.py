@@ -39,7 +39,10 @@ def _as_probability_vector(values, ell: int, name: str) -> np.ndarray:
         vector > 1 + _PROBABILITY_TOLERANCE
     ):
         raise ValueError(f"{name} entries must lie in [0, 1], got {vector}")
-    return np.clip(vector, 0.0, 1.0)
+    # "+ 0.0" turns a -0.0 entry into +0.0, so the first term of Eq. 4's
+    # sum is never -0.0: NumPy's add.reduce starts from +0.0, the float
+    # front from that term, and the two agree only if it is not -0.0.
+    return np.clip(vector, 0.0, 1.0) + 0.0
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,26 @@ class Protocol:
         object.__setattr__(self, "g1", _as_probability_vector(self.g1, self.ell, "g1"))
         self.g0.setflags(write=False)
         self.g1.setflags(write=False)
-        # The Bernstein basis of Eq. 4 depends on ell only: build it once
-        # instead of on every response evaluation.
-        object.__setattr__(self, "_basis", _bernstein_basis(self.ell))
+        # Eq. 4's constant tables, built once.  The array front reads C(ell, k)
+        # (None past the closed form's cutoff) and the response vectors as
+        # (ell + 1, 1|2, 1) stacks; the float front reads them as tuples
+        # (None where a one-element array is cheaper).
+        coefficients = None
+        if self.ell <= _DIRECT_BINOMIAL_MAX_ELL:
+            coefficients = _binomial_coefficients(self.ell)
+        scalar_tables = None
+        if self.ell <= _FLOAT_FRONT_MAX_ELL:
+            scalar_tables = tuple(
+                tuple(table.tolist()) for table in (coefficients, self.g0, self.g1)
+            )
+        object.__setattr__(
+            self, "_coefficients",
+            None if coefficients is None else coefficients[:, None, None],
+        )
+        object.__setattr__(self, "_scalar_tables", scalar_tables)
+        object.__setattr__(
+            self, "_responses", np.stack([self.g0, self.g1], axis=1)[:, :, None]
+        )
 
     # ------------------------------------------------------------------
     # Structural properties
@@ -116,17 +136,85 @@ class Protocol:
         ``P_b(p)`` is the probability that an agent holding opinion ``b``
         adopts opinion 1 in the next round when the current fraction of ones
         in the population is ``p`` (Eq. 4): the binomial mixture of the
-        response vector.  Vectorized over ``p``.
+        response vector.  Vectorized over ``p``; a Python ``float`` or
+        ``int`` returns two floats, computed in plain Python arithmetic up
+        to ``ell = 64`` and as a one-element array beyond.
+
+        Every ``p`` goes through one operation order, so the bits do not
+        depend on the front, on the batch size or, for ``ell <= 256``, on
+        the IEEE-754 host: ``p**k`` and ``(1 - p)**k`` by repeated
+        multiplication, ``w_k = (C(ell, k) * p**k) * (1 - p)**(ell - k)``,
+        and ``P_b = w_0 g_b[0] + w_1 g_b[1] + ...`` summed left to right.
+        Past ``ell = 256`` the weights are ``scipy.stats.binom.pmf``'s and
+        the sum is the same.  A NaN ``p`` passes the range check and gives
+        NaN.
         """
+        if isinstance(p, (float, int)):
+            if p < 0 or p > 1:
+                raise ValueError("fractions p must lie in [0, 1]")
+            if self._scalar_tables is None:
+                p0, p1 = self._mixture_array(np.array([p], dtype=float))
+                return float(p0[0]), float(p1[0])
+            # The float front: plain Python arithmetic doing the array
+            # front's IEEE-754 multiplies and adds in its order, so the bits
+            # agree.  Inline, because simulate() calls it once per round.
+            coefficients, g0, g1 = self._scalar_tables
+            ell = self.ell
+            p = float(p)
+            q = 1.0 - p
+            p_powers = [1.0, p]
+            q_powers = [1.0, q]
+            for k in range(1, ell):
+                p_powers.append(p_powers[k] * p)
+                q_powers.append(q_powers[k] * q)
+            w = (coefficients[0] * p_powers[0]) * q_powers[ell]
+            p0 = w * g0[0]
+            p1 = w * g1[0]
+            for k in range(1, ell + 1):
+                w = (coefficients[k] * p_powers[k]) * q_powers[ell - k]
+                p0 = p0 + w * g0[k]
+                p1 = p1 + w * g1[k]
+            return p0, p1
         p_array = np.asarray(p, dtype=float)
         if ((p_array < 0) | (p_array > 1)).any():
             raise ValueError("fractions p must lie in [0, 1]")
-        weights = _binomial_weights(self.ell, p_array, self._basis)
-        p0 = weights @ self.g0
-        p1 = weights @ self.g1
-        if np.isscalar(p) or p_array.ndim == 0:
-            # _binomial_weights promotes scalars to shape (1, ell + 1).
+        p0, p1 = self._mixture_array(p_array.ravel())
+        if p_array.ndim == 1:
+            return p0, p1
+        if p_array.ndim == 0:
             return float(p0[0]), float(p1[0])
+        return p0.reshape(p_array.shape), p1.reshape(p_array.shape)
+
+    def _mixture_array(self, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The array front: Eq. 4 over a 1-D ``p``, in the float front's order.
+
+        Works k-major, on ``(ell + 1, 2, N)`` stacks, so that every step is
+        an elementwise ufunc across ``N`` and the sum over ``k`` is a
+        reduction over the outermost axis, which NumPy adds row by row.
+        (Along the fastest axis it would sum pairwise; the ``2`` axis keeps
+        that from happening at ``N = 1`` too.)
+        """
+        k = self.ell + 1
+        stack = np.empty((k, 2, p.size))
+        if self._coefficients is None:
+            from scipy.stats import binom
+
+            weights = binom.pmf(np.arange(k)[:, None, None], self.ell, p)
+        else:
+            # stack[j] = (p**j, q**j), each row the previous one times row 1.
+            stack[0] = 1.0
+            stack[1, 0] = p
+            np.subtract(1.0, p, out=stack[1, 1])
+            if k > 2 and p.size < _ROW_POWERS_MIN_SIZE:
+                stack[2:] = stack[1]
+                np.multiply.accumulate(stack[1:], axis=0, out=stack[1:])
+            else:
+                for row in range(2, k):
+                    np.multiply(stack[row - 1], stack[1], out=stack[row])
+            weights = self._coefficients * stack[:, :1]
+            weights *= stack[::-1, 1:]
+        terms = np.multiply(weights, self._responses, out=stack)
+        p0, p1 = np.add.reduce(terms, axis=0)
         return p0, p1
 
     def flip(self) -> "Protocol":
@@ -145,37 +233,17 @@ class Protocol:
         )
 
 
+# Past this sample size (the ell = Theta(sqrt(n log n)) regime of [15]) the
+# weights come from scipy's log-space pmf: C(ell, k) overflows float64 past
+# ell ~ 1000.
 _DIRECT_BINOMIAL_MAX_ELL = 256
-
-
-def _bernstein_basis(ell: int):
-    """``(C(ell, k), k, ell - k)`` for the closed form, or None past the cutoff."""
-    if ell > _DIRECT_BINOMIAL_MAX_ELL:
-        return None
-    k = np.arange(ell + 1)
-    return _binomial_coefficients(ell), k, ell - k
-
-
-def _binomial_weights(ell: int, p: np.ndarray, basis) -> np.ndarray:
-    """Binomial(ell, p) pmf over k = 0..ell, vectorized over p.
-
-    Returns an array of shape ``p.shape + (ell + 1,)``.  Computed from the
-    closed form (``basis`` is :func:`_bernstein_basis` of ``ell``) for the
-    small/constant ``ell`` of the lower bound, and in log space for the
-    large ``ell = Theta(sqrt(n log n))`` of the [15] regime (where
-    ``C(ell, k)`` overflows float64 past ``ell ~ 1000``).
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if basis is not None:
-        coefficients, k, rest = basis
-        return (
-            coefficients
-            * np.power(p[..., None], k)
-            * np.power(1.0 - p[..., None], rest)
-        )
-    from scipy.stats import binom
-
-    return binom.pmf(np.arange(ell + 1), ell, p[..., None])
+# Up to this sample size a float p costs less in plain Python than as a
+# one-element array (the two cross near ell = 64).
+_FLOAT_FRONT_MAX_ELL = 64
+# Below this many fractions one ``multiply.accumulate`` call builds every
+# power row; from it on, a call per row is cheaper, because accumulate
+# walks the k axis innermost (strided) instead of the N axis.
+_ROW_POWERS_MIN_SIZE = 128
 
 
 def _binomial_coefficients(ell: int) -> np.ndarray:

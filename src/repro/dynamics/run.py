@@ -21,8 +21,8 @@ bit-generator state), after SIGINT/SIGTERM it writes a final one and raises
 identical random stream — the resumed result is bit-identical to an
 uninterrupted run.  Round boundaries also carry ``REPRO_FAULT`` crashpoints
 (``run:after_round``, ``ensemble:after_round``, ``ensemble:after_replica``,
-...) so kill-and-resume is exercised by tests; see docs/OBSERVABILITY.md,
-"Durability & fault model".
+...) so kill-and-resume is exercised by tests; the variable is read once,
+when a run starts.  See docs/OBSERVABILITY.md, "Durability & fault model".
 """
 
 from __future__ import annotations
@@ -167,33 +167,45 @@ def simulate(
         recorder.run_started(run_provenance("simulate", protocol, rng, **params))
     converged = False
     rounds: Optional[int] = None
+    n, z = config.n, config.z
+    armed = faults.armed()
+    steps = 0
     with span(recorder, "simulate") as timing:
-        for t in range(start_round, max_rounds + 1):
-            if x == target:
-                converged = True
-                rounds = t
-                break
-            if t == max_rounds:
-                break
-            x = step_count(protocol, config.n, config.z, x, rng, recorder)
-            if record:
-                trajectory.append(x)
-            if recording:
-                recorder.round_recorded(t + 1, x)
-            if checkpoint is not None:
-                stop = checkpoint.should_stop()
-                if stop or checkpoint.due(t + 1):
-                    checkpoint.save(
-                        "simulate", t + 1, rng, _simulate_payload(x, trajectory)
-                    )
-                    faults.crashpoint("run:after_checkpoint")
-                if stop:
-                    _graceful_exit(
-                        checkpoint, recording, recorder,
-                        {"interrupted": True, "rounds": None, "final_count": x,
-                         "resumable_at": t + 1},
-                    )
-            faults.crashpoint("run:after_round")
+        try:
+            for t in range(start_round, max_rounds + 1):
+                if x == target:
+                    converged = True
+                    rounds = t
+                    break
+                if t == max_rounds:
+                    break
+                x = step_count(protocol, n, z, x, rng)
+                steps += 1
+                if record:
+                    trajectory.append(x)
+                if recording:
+                    recorder.round_recorded(t + 1, x)
+                if checkpoint is not None:
+                    stop = checkpoint.should_stop()
+                    if stop or checkpoint.due(t + 1):
+                        checkpoint.save(
+                            "simulate", t + 1, rng, _simulate_payload(x, trajectory)
+                        )
+                        if armed:
+                            faults.crashpoint("run:after_checkpoint")
+                    if stop:
+                        _graceful_exit(
+                            checkpoint, recording, recorder,
+                            {"interrupted": True, "rounds": None, "final_count": x,
+                             "resumable_at": t + 1},
+                        )
+                if armed:
+                    faults.crashpoint("run:after_round")
+        finally:
+            # step_count runs without the recorder, so the span gets the
+            # per-step ticks as one total, also when the run is interrupted.
+            if steps:
+                timing.incr("steps", steps)
         if recording:
             timing.incr("rounds", rounds if rounds is not None else max_rounds)
     if checkpoint is not None:
@@ -429,6 +441,7 @@ def simulate_ensemble(
             run_provenance("simulate_ensemble", protocol, rng, **params)
         )
     final_round = start_round
+    armed = faults.armed()
     with span(recorder, "ensemble") as timing:
         for t in range(start_round + 1, max_rounds + 1):
             if not active.any():
@@ -482,7 +495,7 @@ def simulate_ensemble(
                     if population != config.n:
                         extra["population"] = population
                 recorder.round_recorded(t, float(counts.mean()), extra)
-            if faults.armed():
+            if armed:
                 # One visit per replica that converged this round, so
                 # REPRO_FAULT=ensemble:after_replica:k kills the process
                 # the moment the k-th replica completes.
@@ -495,7 +508,8 @@ def simulate_ensemble(
                         "simulate_ensemble", t, rng,
                         _ensemble_payload(counts, times, active),
                     )
-                    faults.crashpoint("ensemble:after_checkpoint")
+                    if armed:
+                        faults.crashpoint("ensemble:after_checkpoint")
                 if stop:
                     censored = int(np.isnan(times).sum())
                     _graceful_exit(
@@ -504,7 +518,8 @@ def simulate_ensemble(
                          "censored": censored, "final_round": t,
                          "resumable_at": t},
                     )
-            faults.crashpoint("ensemble:after_round")
+            if armed:
+                faults.crashpoint("ensemble:after_round")
         if recording:
             timing.incr("rounds", final_round)
     if checkpoint is not None:

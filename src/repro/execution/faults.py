@@ -14,7 +14,11 @@ The spec is ``<site>[:<hit>]`` — the trailing integer (default 1, 1-based)
 selects which visit to the site is fatal; everything before it is the site
 name (which may itself contain colons).  With ``REPRO_FAULT`` unset every
 crashpoint is a near-free dictionary lookup, and crashpoints are only
-placed at round/write boundaries, never inside per-agent hot loops.
+placed at round/write boundaries, never inside per-agent hot loops.  The
+round loops of :func:`~repro.dynamics.run.simulate` and
+:func:`~repro.dynamics.run.simulate_ensemble` go further: they read
+``REPRO_FAULT`` (through :func:`armed`) once, when a run starts, and skip
+their crashpoints altogether when it is unset.
 
 This is how the kill-and-resume invariants are *proven*: CI sets a spec,
 watches the process die with :data:`~repro.execution.shutdown.
@@ -89,7 +93,7 @@ def _active_spec() -> Optional[FaultSpec]:
 
 
 def armed() -> bool:
-    """True when ``REPRO_FAULT`` is set (cheap guard for per-item loops)."""
+    """True when ``REPRO_FAULT`` is set (a runner's once-per-run guard)."""
     return bool(os.environ.get(FAULT_ENV_VAR))
 
 

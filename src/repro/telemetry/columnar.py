@@ -201,7 +201,9 @@ def _iter_chunks(
 ) -> Iterator[Tuple[Dict[str, Any], bytes]]:
     """Yield ``(meta, payload)`` per chunk of the trace at ``path``, in order.
 
-    The file is memory-mapped for the walk.  A torn or corrupt frame, or
+    The file is memory-mapped for the walk, and the pages behind it are
+    released as it goes (each body is a copy), so resident memory stays
+    near one chunk however long the trace.  A torn or corrupt frame, or
     a chunk whose meta block does not decode, ends the walk in salvage
     mode and raises ``ValueError`` naming its byte offset otherwise —
     mirroring the JSONL reader's torn-line semantics at chunk granularity.
@@ -210,9 +212,11 @@ def _iter_chunks(
         if os.fstat(handle.fileno()).st_size == 0:
             return
         data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    release = getattr(mmap, "MADV_DONTNEED", None)
     with data:
         frames = storage.FrameScan(data, COLUMNAR_MAGIC)
         problem = None
+        released = 0
         for body in frames:
             try:
                 meta, payload = _split_chunk(body)
@@ -220,6 +224,10 @@ def _iter_chunks(
                 problem = str(error)
                 break
             yield meta, payload
+            consumed = frames.end - frames.end % mmap.PAGESIZE
+            if release is not None and consumed > released:
+                data.madvise(release, released, consumed - released)
+                released = consumed
         problem = problem or frames.error
     if problem is not None and not salvage:
         raise ValueError(f"columnar trace chunk at byte {frames.end}: {problem}")

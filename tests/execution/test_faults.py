@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from repro.execution import FAULT_ENV_VAR, FaultSpec, faults, parse_fault_spec
+from repro.execution.shutdown import EXIT_FAULT_INJECTED
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -109,3 +110,23 @@ def test_kill_and_resume_is_bit_identical(site, tmp_path):
         f"fault_smoke failed for {site}:\n{completed.stdout}\n{completed.stderr}"
     )
     assert "PASS" in completed.stdout
+
+
+def test_run_after_round_kills_a_cli_run():
+    """``run:after_round`` fires inside ``simulate``'s round loop."""
+    env = dict(os.environ)
+    env[FAULT_ENV_VAR] = "run:after_round:5"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    completed = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "run", "voter",
+            "--n", "100", "--rounds", "100000", "--seed", "3",
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == EXIT_FAULT_INJECTED, completed.stderr
+    assert "crashpoint 'run:after_round'" in completed.stderr
+    assert completed.stdout == ""

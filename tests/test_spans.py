@@ -121,6 +121,46 @@ class TestWiredSpans:
         assert spans["simulate"].counters["steps"] == result.rounds
         assert spans["simulate"].wall_s <= recorder.metrics().wall_clock_s
 
+    def test_simulate_span_steps_cover_every_way_a_run_ends(self, tmp_path):
+        from repro.dynamics.config import Configuration
+        from repro.execution import Checkpointer, GracefulExit
+
+        class StopAtPoll:
+            signum = 15
+
+            def __init__(self, polls):
+                self.remaining = polls
+
+            @property
+            def requested(self):
+                self.remaining -= 1
+                return self.remaining <= 0
+
+            def flush_registered(self):
+                pass
+
+        def simulate_span(config, checkpoint=None):
+            recorder = MetricsRecorder()
+            try:
+                simulate(voter(1), config, 50_000, make_rng(0),
+                         recorder=recorder, checkpoint=checkpoint)
+            except GracefulExit:
+                pass
+            return recorder.metrics().spans["simulate"].counters
+
+        # Already at the target: no step, so no "steps" key at all.
+        assert simulate_span(Configuration(n=64, z=1, x0=64)) == {"rounds": 0}
+        config = wrong_consensus_configuration(64, z=1)
+        path = tmp_path / "run.ckpt"
+        # Stopped after round 40: the steps taken, and no "rounds".
+        interrupted = simulate_span(
+            config, Checkpointer(path, every=1000, guard=StopAtPoll(40))
+        )
+        assert interrupted == {"steps": 40}
+        resumed = simulate_span(config, Checkpointer.resume(path, every=1000))
+        assert list(resumed) == ["steps", "rounds"]
+        assert resumed["steps"] == resumed["rounds"] - 40
+
     def test_ensemble_span_counts_batch_steps(self):
         recorder = MetricsRecorder()
         config = wrong_consensus_configuration(64, z=1)
