@@ -18,7 +18,6 @@ import numpy as np
 from repro.core.protocol import Protocol
 from repro.dynamics.config import Configuration
 from repro.dynamics.run import simulate_ensemble
-from repro.execution.checkpoint import DEFAULT_CHECKPOINT_EVERY
 from repro.telemetry import NULL_RECORDER, Recorder, span
 
 __all__ = [
@@ -173,9 +172,6 @@ def convergence_ensemble(
     replicas: int,
     recorder: Recorder = NULL_RECORDER,
     checkpoint=None,
-    workers=None,
-    shards=None,
-    supervisor=None,
     engine=None,
     scenario=None,
 ) -> ConvergenceStats:
@@ -189,8 +185,8 @@ def convergence_ensemble(
     (time past the settle round) are wanted instead of absolute ``tau``.
 
     ``engine`` selects the stepping backend and is forwarded verbatim
-    (``"loop"`` | ``"batched"`` | ``"lockstep"``;
-    ``None`` means the default ``"batched"`` — see docs/ENGINES.md).
+    (``"loop"`` | ``"batched"``; ``None`` means the default
+    ``"batched"`` — see docs/ENGINES.md).
     Because the statistics are a pure function of the replica times, the
     loop-vs-batched bit-identity of :func:`~repro.dynamics.run.
     simulate_ensemble` lifts to the returned :class:`ConvergenceStats`:
@@ -207,49 +203,20 @@ def convergence_ensemble(
     an ensemble killed at any point and resumed from its checkpoint yields
     **bit-identical** ``ConvergenceStats`` to an uninterrupted run.
 
-    Passing any of ``workers`` / ``shards`` / ``supervisor`` routes the
-    ensemble through :func:`repro.execution.supervisor.
-    run_supervised_ensemble` instead of the serial lock-step runner.  The
-    returned statistics then carry ``failed_shards`` / ``attempted_trials``
-    so shard loss degrades the report rather than silently shrinking the
-    sample (see the module docstring of the supervisor for the fault
-    model).  On the keyed engines the supervised times equal the serial
-    ones at any ``workers`` and ``shards``, so the statistics match the
-    serial call's field for field, loss accounting aside.
+    The supervised counterpart is :func:`repro.execution.supervisor.
+    summarize_supervised` over :func:`repro.execution.supervisor.
+    run_supervised_ensemble`: its shards run slices of this call's keyed
+    streams, so its statistics match these field for field at any
+    ``workers`` and ``shards``, loss accounting (``failed_shards`` /
+    ``attempted_trials``) aside.
     """
     with span(recorder, "convergence_ensemble") as timing:
-        if workers is not None or shards is not None or supervisor is not None:
-            from repro.execution.supervisor import (
-                run_supervised_ensemble,
-                summarize_supervised,
-                supervisor_from,
-            )
-
-            result = run_supervised_ensemble(
-                protocol,
-                config,
-                max_rounds,
-                rng,
-                replicas,
-                supervisor=supervisor_from(supervisor, workers, shards),
-                recorder=recorder,
-                checkpoint_base=checkpoint.path if checkpoint is not None else None,
-                checkpoint_every=(
-                    checkpoint.every if checkpoint is not None else DEFAULT_CHECKPOINT_EVERY
-                ),
-                guard=checkpoint.guard if checkpoint is not None else None,
-                engine=engine,
-                scenario=scenario,
-            )
-            with span(recorder, "summarize"):
-                stats = summarize_supervised(result, budget=max_rounds)
-        else:
-            times = simulate_ensemble(
-                protocol, config, max_rounds, rng, replicas, recorder,
-                checkpoint=checkpoint, engine=engine, scenario=scenario,
-            )
-            with span(recorder, "summarize"):
-                stats = summarize_times(times, budget=max_rounds)
+        times = simulate_ensemble(
+            protocol, config, max_rounds, rng, replicas, recorder,
+            checkpoint=checkpoint, engine=engine, scenario=scenario,
+        )
+        with span(recorder, "summarize"):
+            stats = summarize_times(times, budget=max_rounds)
         if recorder.enabled:
             timing.incr("replicas", replicas)
     return stats

@@ -399,8 +399,8 @@ def _run_ensemble(
     """Body of ``repro run`` for ensembles (``--replicas``/``--workers``).
 
     Runs the supervised executor, even at ``--workers 1`` (one shard by
-    default); each shard runs its range of the serial stream, so on the
-    keyed engines the statistics do not depend on ``--workers`` or
+    default); each shard runs its range of the serial stream, so the
+    statistics do not depend on ``--workers`` or
     ``--shards``.  With ``--checkpoint`` each shard checkpoints to
     ``PATH.shard<k>``; re-invoking the *same* command after a crash or
     Ctrl-C resumes every shard from its own file (``repro resume`` stays
@@ -1014,8 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--shards", type=int, default=None, metavar="K",
         help="contiguous replica ranges the ensemble is cut into, the unit "
-             "of retries, checkpoints and traces (changes wall clock only "
-             "on the keyed engines; default min(replicas, workers))",
+             "of retries, checkpoints and traces (changes wall clock only; "
+             "default min(replicas, workers))",
     )
     run.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",

@@ -7,9 +7,9 @@ length-``R`` integer vector and one lock-step round is
 :func:`counter_uniforms` call for draws 0 and 1 and one
 :func:`binomial_icdf` call over the ``2R`` stacked binomials
 (:func:`binomial_pair`).  The subtlety is reproducibility: a single shared
-``Generator`` (the legacy ``lockstep`` engine) makes every replica's stream
-depend on *which other replicas are in the batch and when they converge*.
-This engine instead gives each replica its own **counter-based stream**:
+``Generator`` would make every replica's stream depend on *which other
+replicas are in the batch and when they converge*.  This engine instead
+gives each replica its own **counter-based stream**:
 
 * :func:`replica_keys` derives one 64-bit key per replica from the
   :func:`~repro.dynamics.rng.spawn_seed_sequences` tree, so key ``j`` is a
@@ -68,7 +68,7 @@ __all__ = [
     "step_counts_keyed",
 ]
 
-ENGINES = ("loop", "batched", "lockstep")
+ENGINES = ("loop", "batched")
 """Every ensemble backend ``engine=`` accepts (contract in docs/ENGINES.md)."""
 
 DEFAULT_ENGINE = "batched"
@@ -95,7 +95,7 @@ def resolve_engine(engine: Optional[str]) -> str:
     >>> resolve_engine("turbo")
     Traceback (most recent call last):
         ...
-    ValueError: unknown engine 'turbo'; expected one of: loop, batched, lockstep
+    ValueError: unknown engine 'turbo'; expected one of: loop, batched
     """
     if engine is None:
         return DEFAULT_ENGINE

@@ -8,8 +8,8 @@ and so that ensembles of independent runs use provably independent streams
 
 Two stream shapes come out of the same ``SeedSequence`` tree:
 
-* :func:`spawn_rngs` — one full ``Generator`` per consumer (shards, worker
-  processes, anything that draws an open-ended amount of randomness);
+* :func:`spawn_rngs` — one full ``Generator`` per consumer (anything that
+  draws an open-ended amount of randomness);
 * :func:`spawn_seed_sequences` — the raw spawned children, whose first
   64-bit state word is the batched engine's (:mod:`repro.dynamics.batched`)
   *key* per replica for its counter-based streams.  The engine computes

@@ -46,7 +46,6 @@ from repro.dynamics.config import Configuration
 from repro.dynamics.engine import step_count, step_counts_batch
 from repro.execution import faults
 from repro.execution.checkpoint import (
-    DEFAULT_CHECKPOINT_EVERY,
     Checkpointer,
     decode_times,
     encode_times,
@@ -255,9 +254,6 @@ def simulate_ensemble(
     replicas: int,
     recorder: Recorder = NULL_RECORDER,
     checkpoint: Optional[Checkpointer] = None,
-    workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    supervisor=None,
     engine: Optional[str] = None,
     scenario=None,
     first_replica: int = 0,
@@ -276,9 +272,7 @@ def simulate_ensemble(
     seed and ``j`` — never on the batch size; ``"loop"`` is its
     bit-identical scalar reference (one Python-level
     :func:`~repro.dynamics.batched.step_count_keyed` call per active
-    replica per round); ``"lockstep"`` is the legacy shared-``Generator``
-    path via :func:`step_counts_batch`, whose stream differs from the
-    keyed engines' (statistical equivalence only).
+    replica per round).
 
     ``recorder`` observes one record per lock-step round: ``count`` is the
     mean count over *all* replicas, with ``active`` (replicas still running
@@ -293,31 +287,17 @@ def simulate_ensemble(
     checkpoint signature hashes ``rng``'s entry state, so a resume under
     another seed is refused.
 
-    ``first_replica`` (keyed engines only) makes the call run a slice of
-    a larger serial ensemble: replica ``j`` of the result is replica
-    ``first_replica + j`` of ``simulate_ensemble(..., rng, first_replica +
-    replicas)``.  The supervisor's shards run such slices.
-
-    Any of ``workers=`` / ``shards=`` / ``supervisor=`` switches to the
-    sharded worker-pool executor (:func:`repro.execution.supervisor.
-    run_supervised_ensemble`): each shard runs a contiguous slice of this
-    function's serial stream, so for the keyed engine families the times
-    are bit-identical to the serial call at any shard and worker count
-    (``lockstep`` shards draw from ``spawn_rngs`` generators instead, a
-    function of ``(rng, shards)``).  ``checkpoint`` then contributes its
-    path, cadence, and guard to per-shard checkpoint files
-    (``<path>.shard<k>``), and ``recorder`` observes the supervisor's
-    provenance, ``supervise`` span, and summary rather than per-round
-    records.  Shards that fail past
-    their retry budget are *dropped* from the returned array (with a
-    ``RuntimeWarning``) — use ``run_supervised_ensemble`` directly when
-    the loss accounting matters.
+    ``first_replica`` makes the call run a slice of a larger serial
+    ensemble: replica ``j`` of the result is replica ``first_replica + j``
+    of ``simulate_ensemble(..., rng, first_replica + replicas)``.  The
+    shards of :func:`repro.execution.supervisor.run_supervised_ensemble`,
+    the sharded worker-pool executor, run such slices, so its times are
+    bit-identical to the serial call at any shard and worker count.
 
     ``scenario`` applies a hostile-world perturbation schedule (a
     :class:`repro.dynamics.scenarios.Scenario`, a spec string like
     ``"churn+lossy:rate=0.2"``, or a
-    :class:`~repro.dynamics.config.ScenarioConfig`).  Scenarios run only
-    on the keyed engine families (``loop``/``batched``); they draw from
+    :class:`~repro.dynamics.config.ScenarioConfig`).  Scenarios draw from
     the same counter streams (churn claims draw indices 2/3), so the
     ``null`` scenario is bit-identical to ``scenario=None``.  Convergence
     then means "every free agent displays the current true opinion",
@@ -325,39 +305,6 @@ def simulate_ensemble(
     scenario's canonical spec is folded into the checkpoint signature —
     resume refuses a mismatched hostile world.  See docs/SCENARIOS.md.
     """
-    if workers is not None or shards is not None or supervisor is not None:
-        import warnings
-
-        from repro.execution.supervisor import (
-            run_supervised_ensemble,
-            supervisor_from,
-        )
-
-        if first_replica:
-            raise ValueError("first_replica applies to a serial call only")
-
-        result = run_supervised_ensemble(
-            protocol, config, max_rounds, rng, replicas,
-            supervisor=supervisor_from(supervisor, workers, shards),
-            recorder=recorder,
-            checkpoint_base=checkpoint.path if checkpoint is not None else None,
-            checkpoint_every=(
-                checkpoint.every if checkpoint is not None
-                else DEFAULT_CHECKPOINT_EVERY
-            ),
-            guard=checkpoint.guard if checkpoint is not None else None,
-            engine=engine,
-            scenario=scenario,
-        )
-        if result.failed_shards:
-            warnings.warn(
-                f"supervised ensemble lost {result.failed_shards} shard(s): "
-                f"returning {result.times.size} of {result.attempted_trials} "
-                "trials",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return result.times
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     if not protocol.satisfies_boundary_conditions(tolerance=1e-12):
@@ -365,18 +312,10 @@ def simulate_ensemble(
             f"protocol {protocol.name!r} violates Proposition 3; its "
             "convergence time is infinite (see time_to_leave_consensus)"
         )
+    if first_replica < 0:
+        raise ValueError(f"first_replica must be >= 0, got {first_replica}")
     engine = resolve_engine(engine)
     scenario = as_scenario(scenario, config.n)
-    if scenario is not None and engine not in ("batched", "loop"):
-        raise ValueError(
-            f"scenarios require a keyed engine (loop/batched), "
-            f"not {engine!r}"
-        )
-    if first_replica < 0 or (first_replica and engine not in ("batched", "loop")):
-        raise ValueError(
-            f"first_replica must be >= 0 and needs a keyed engine "
-            f"(loop/batched), got {first_replica} under {engine!r}"
-        )
     settle = scenario.settle_round(max_rounds) if scenario is not None else 0
     start_round = 0
     resumed = None
@@ -389,12 +328,10 @@ def simulate_ensemble(
             return decode_times(resumed.payload["times"])
     # Per-replica keys are derived from the generator's *entry* state —
     # before any resumed-state restore — so a resumed run re-derives the
-    # identical keys from the same seed.  The keyed engines never touch the
+    # identical keys from the same seed.  The engines never touch the
     # generator afterwards; the stored bit-generator state is then simply
     # the post-derivation state, constant across the whole run.
-    keys = None
-    if engine in ("batched", "loop"):
-        keys = replica_keys(rng, first_replica + replicas)[first_replica:]
+    keys = replica_keys(rng, first_replica + replicas)[first_replica:]
     target = config.target_count
     if resumed is not None:
         counts = np.asarray(resumed.payload["counts"], dtype=np.int64)
@@ -469,16 +406,12 @@ def simulate_ensemble(
                         protocol, config.n, config.z, counts[active],
                         keys[active], t, recorder,
                     )
-                elif engine == "loop":
+                else:  # loop
                     for j in np.nonzero(active)[0]:
                         counts[j] = step_count_keyed(
                             protocol, config.n, config.z, int(counts[j]),
                             keys[j], t, recorder,
                         )
-                else:  # lockstep: the legacy shared-Generator stream
-                    counts[active] = step_counts_batch(
-                        protocol, config.n, config.z, counts[active], rng, recorder
-                    )
                 newly_done = active & (counts == target)
             times[newly_done] = float(t)
             active &= ~newly_done
@@ -549,8 +482,10 @@ def _ensemble_signature(
     """The checkpoint signature of one :func:`simulate_ensemble` call.
 
     Taken with ``rng`` at the call's entry state, whose hash pins the seed.
-    It keys on the resolved engine, whose random stream the result is a
-    function of.  The scenario spec joins only when one is active.  The
+    It keys on the resolved engine name, so a checkpoint resumes only
+    under the engine that wrote it, although ``loop`` and ``batched``
+    draw the same bits.  The scenario spec joins only when one is
+    active.  The
     supervisor computes each shard's signature with this function to
     refuse a foreign shard checkpoint before it forks.
     """

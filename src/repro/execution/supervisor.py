@@ -9,12 +9,9 @@ each shard in its own worker process under supervision:
 * **Shape-free results.**  Shard ``k`` runs replicas ``[lo_k, hi_k)`` of
   the keyed stream the serial ``simulate_ensemble(rng, replicas)`` runs
   (its ``first_replica=lo_k`` slice, from a copy of the caller's
-  generator at its entry state), so for the keyed engine families the
-  times equal the serial call's bit for bit at any shard and worker
-  count.  The shape — ``shards``, default one per worker — is a
-  performance choice.  ``lockstep`` has no keys to slice: its shards draw
-  from one :func:`repro.dynamics.rng.spawn_rngs` call, so its results are
-  a function of ``(seed, shards)``.
+  generator at its entry state), so the times equal the serial call's
+  bit for bit at any shard and worker count.  The shape — ``shards``,
+  default one per worker — is a performance choice.
 * **Supervision.**  Each shard attempt runs in a
   :class:`~repro.execution.pool.WorkerPool` worker (the loop the job
   service shares) with an optional wall-clock deadline; a worker that
@@ -55,14 +52,14 @@ import os
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.dynamics.rng import spawn_rngs, spawn_seed_sequences
+from repro.dynamics.rng import spawn_seed_sequences
 from repro.execution import faults
 from repro.execution.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -108,7 +105,6 @@ __all__ = [
     "shard_sizes",
     "run_supervised_ensemble",
     "summarize_supervised",
-    "supervisor_from",
 ]
 
 DEFAULT_MAX_RETRIES = 2
@@ -129,11 +125,10 @@ class SupervisorConfig:
         workers: concurrent worker processes.  Changing this never changes
             the times — only wall clock.
         shards: how many contiguous replica ranges the ensemble is cut into
-            (default ``min(replicas, workers)``).  For the keyed engines
-            it changes wall clock only; it sets the unit of retries,
+            (default ``min(replicas, workers)``).  It changes the times
+            never, only wall clock; it sets the unit of retries,
             ``REPRO_FAULT_SHARD``, per-shard checkpoints and per-shard
-            traces, so the merged trace's bytes depend on it.  ``lockstep``
-            results depend on it.
+            traces, so the merged trace's bytes depend on it.
         timeout_s: per-shard-attempt wall-clock budget; an overrunning
             worker is killed and the attempt counts as a failure.  The
             ``REPRO_BENCH_TIMEOUT`` budget is folded in — the tighter of
@@ -425,20 +420,20 @@ def run_supervised_ensemble(
     contiguous replica ranges (default one per worker).  Each shard runs
     the stock serial :func:`~repro.dynamics.run.simulate_ensemble` on its
     range in a child process, stepping its replicas as one array under
-    the selected engine.  For the keyed engine families the times equal
-    the serial ``simulate_ensemble(protocol, config, max_rounds, rng,
-    replicas)`` bit for bit at every shard and worker count, and the
-    caller's generator is advanced as that call advances it; ``lockstep``
-    times are a function of ``(seed, shards)``.  See the module docstring
-    for the supervision, degradation, and telemetry contracts.
+    the selected engine.  The times equal the serial
+    ``simulate_ensemble(protocol, config, max_rounds, rng, replicas)``
+    bit for bit at every shard and worker count, and the caller's
+    generator is advanced as that call advances it.  This is the one
+    supervised ensemble entry; :func:`summarize_supervised` turns its
+    result into statistics.  See the module docstring for the
+    supervision, degradation, and telemetry contracts.
 
     Args:
         supervisor: pool configuration (default :class:`SupervisorConfig`).
         engine: stepping backend forwarded to every shard's
             :func:`~repro.dynamics.run.simulate_ensemble` (``None`` means
             the default ``"batched"``; see docs/ENGINES.md).  ``batched``
-            and ``loop`` are bit-identical to each other; ``lockstep`` is a
-            different (equally valid) stream.
+            and ``loop`` are bit-identical to each other.
         recorder: parent-side recorder; observes the run's provenance, a
             ``supervise`` span with shard/retry/timeout counters, and the
             closing summary (per-round records live in the merged trace).
@@ -493,10 +488,6 @@ def run_supervised_ensemble(
     from repro.dynamics.scenarios import as_scenario
 
     scenario = as_scenario(scenario, config.n)
-    if scenario is not None and engine not in ("batched", "loop"):
-        raise ValueError(
-            f"scenarios require a keyed engine (batched/loop), got {engine!r}"
-        )
     settle = scenario.settle_round(max_rounds) if scenario is not None else 0
     shards = cfg.shards if cfg.shards is not None else min(replicas, cfg.workers)
     sizes = shard_sizes(replicas, shards)
@@ -522,23 +513,18 @@ def run_supervised_ensemble(
     # the retry schedule becomes a pure function of (run seed, shard
     # index), reproducible across reruns and independent of worker count.
     backoff_key = rng_provenance(rng)["state_hash"]
-    if engine in ("batched", "loop"):
-        # Every shard derives its keys from the caller's entry state and
-        # keeps its own range; the caller's generator then advances as
-        # the serial call's key derivation advances it.
-        entry_rng = copy.deepcopy(rng)
-        shard_rngs = [entry_rng] * shards
-        firsts = [sum(sizes[:k]) for k in range(shards)]
-        spawn_seed_sequences(rng, 0)
-    else:  # lockstep shares no keys: one generator per shard
-        shard_rngs = spawn_rngs(rng, shards)
-        firsts = [0] * shards
+    # Every shard derives its keys from the caller's entry state and keeps
+    # its own range; the caller's generator then advances as the serial
+    # call's key derivation advances it.
+    entry_rng = copy.deepcopy(rng)
+    firsts = [sum(sizes[:k]) for k in range(shards)]
+    spawn_seed_sequences(rng, 0)
     if checkpoint_base is not None:
         from repro.dynamics.run import _ensemble_signature
 
         _refuse_foreign_checkpoints(checkpoint_base, [
             _ensemble_signature(
-                protocol, config, max_rounds, shard_rngs[k], sizes[k], engine,
+                protocol, config, max_rounds, entry_rng, sizes[k], engine,
                 scenario, firsts[k],
             )
             for k in range(shards)
@@ -616,7 +602,7 @@ def run_supervised_ensemble(
             protocol=protocol,
             config=config,
             max_rounds=max_rounds,
-            rng=shard_rngs[index],
+            rng=entry_rng,
             first_replica=firsts[index],
             checkpoint_path=_shard_path(checkpoint_base, index),
             checkpoint_every=checkpoint_every,
@@ -828,23 +814,3 @@ def _write_merged_trace(
     for path in consumed:
         path.unlink(missing_ok=True)
 
-
-def supervisor_from(
-    base: Optional[SupervisorConfig],
-    workers: Optional[int],
-    shards: Optional[int],
-) -> SupervisorConfig:
-    """Overlay explicit ``workers=`` / ``shards=`` arguments on a config.
-
-    >>> supervisor_from(None, workers=4, shards=2)
-    SupervisorConfig(workers=4, shards=2, timeout_s=None, max_retries=2, \
-backoff_base_s=0.1, backoff_cap_s=5.0, poll_s=0.05, trace_format='jsonl')
-    >>> supervisor_from(SupervisorConfig(workers=8), None, None).workers
-    8
-    """
-    cfg = base or SupervisorConfig()
-    if workers is not None:
-        cfg = replace(cfg, workers=workers)
-    if shards is not None:
-        cfg = replace(cfg, shards=shards)
-    return cfg

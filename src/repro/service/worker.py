@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.execution import pool
 from repro.telemetry.heartbeat import heartbeat_path
@@ -46,7 +46,7 @@ _SWEEP_PARAMS = ("n", "z", "x0", "replicas", "max_rounds", "seed")
 
 
 class SpecError(ValueError):
-    """A job submission that cannot be executed (bad kind, sizes, sweep)."""
+    """A job submission that cannot run (a malformed or unbuildable field)."""
 
 
 def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -55,7 +55,10 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
     Returns a plain-JSON dict with every field the worker needs, defaults
     applied.  Raises :class:`SpecError` with a message suitable for a 400
     response on anything malformed — validation happens at submit time so
-    the queue never holds a job that is doomed to fail parsing.
+    the queue never holds a job that is doomed to fail parsing.  That
+    includes building what the worker builds: the engine, and the
+    protocol, configuration and scenario at every point a sweep runs
+    (protocols and scenario defaults depend on ``n``).
     """
     if not isinstance(payload, dict):
         raise SpecError("job spec must be a JSON object")
@@ -71,14 +74,13 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
         spec["seed"] = int(payload.get("seed", 0))
         spec["replicas"] = int(payload.get("replicas", 1 if kind == "run" else 10))
         spec["checkpoint_every"] = int(payload.get("checkpoint_every", 25))
+        x0 = payload.get("x0")
+        spec["x0"] = None if x0 is None else int(x0)
+        heartbeat_every_s = float(payload.get("heartbeat_every_s", 1.0))
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"non-integer job parameter: {exc}") from exc
-    if spec["n"] <= 0 or spec["replicas"] <= 0 or spec["max_rounds"] <= 0:
-        raise SpecError("n, replicas, and max_rounds must be positive")
+        raise SpecError(f"non-numeric job parameter: {exc}") from exc
     if kind == "run" and spec["replicas"] != 1:
         raise SpecError("kind 'run' is a single replica; use kind 'ensemble'")
-    x0 = payload.get("x0")
-    spec["x0"] = None if x0 is None else int(x0)
     engine = payload.get("engine")
     spec["engine"] = None if engine is None else str(engine)
     scenario = payload.get("scenario")
@@ -87,7 +89,7 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
     if trace not in (None, "jsonl", "columnar"):
         raise SpecError(f"trace must be 'jsonl' or 'columnar', got {trace!r}")
     spec["trace"] = trace
-    spec["heartbeat_every_s"] = float(payload.get("heartbeat_every_s", 1.0))
+    spec["heartbeat_every_s"] = heartbeat_every_s
     if kind == "sweep":
         sweep = payload.get("sweep")
         if not isinstance(sweep, dict):
@@ -100,8 +102,54 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
             )
         if not isinstance(values, list) or not values:
             raise SpecError("sweep.values must be a non-empty list")
-        spec["sweep"] = {"param": str(param), "values": [int(v) for v in values]}
+        try:
+            spec["sweep"] = {"param": str(param), "values": [int(v) for v in values]}
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"non-integer sweep value: {exc}") from exc
+    _check_runnable(spec)
     return spec
+
+
+def _check_runnable(spec: Dict[str, Any]) -> None:
+    """Refuse a job that cannot run, naming the cause.
+
+    Checks the sizes and builds the engine and, at every point the job
+    runs, what :func:`_build` builds for it.
+    """
+    from repro.dynamics.batched import resolve_engine
+
+    sizes = ("n", "replicas", "max_rounds", "checkpoint_every")
+    try:
+        resolve_engine(spec["engine"])
+        for point in _points(spec):
+            if min(point[size] for size in sizes) <= 0:
+                raise ValueError(", ".join(sizes) + " must be positive")
+            protocol, _, _ = _build(point)
+            if not protocol.satisfies_boundary_conditions(tolerance=1e-12):
+                raise ValueError(
+                    f"protocol {protocol.name!r} violates Proposition 3; "
+                    "its convergence time is infinite"
+                )
+    except (KeyError, ValueError) as exc:
+        # KeyError's str() wraps the message in quotes; unwrap it.
+        raise SpecError(exc.args[0] if exc.args else str(exc)) from exc
+
+
+def _points(spec: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The ensembles a job runs: its own, or one per sweep value.
+
+    Each sweep point runs on ``seed + index`` unless the sweep is over the
+    seed itself.
+    """
+    if spec["kind"] != "sweep":
+        return [spec]
+    param = spec["sweep"]["param"]
+    points = []
+    for index, value in enumerate(spec["sweep"]["values"]):
+        point = dict(spec, seed=spec["seed"] + index)
+        point[param] = value
+        points.append(point)
+    return points
 
 
 def result_path(jobdir) -> Path:
@@ -128,25 +176,37 @@ def _build_config(spec: Dict[str, Any]):
     return Configuration(n=n, z=z, x0=min(max(int(x0), low), high))
 
 
+def _build(spec: Dict[str, Any]):
+    """The protocol, configuration and scenario one ensemble of a job runs."""
+    from repro.cli import resolve_protocol
+    from repro.dynamics.scenarios import as_scenario
+
+    return (
+        resolve_protocol(spec["protocol"], spec["n"]),
+        _build_config(spec),
+        as_scenario(spec.get("scenario"), spec["n"]),
+    )
+
+
 def _run_ensemble(spec: Dict[str, Any], jobdir: Path, *, recorder,
                   checkpoint_suffix: str = "") -> Dict[str, Any]:
     from repro.analysis.ensemble import convergence_ensemble
-    from repro.cli import resolve_protocol
     from repro.dynamics.rng import make_rng
 
+    protocol, config, scenario = _build(spec)
     checkpoint = pool.open_checkpoint(
         jobdir / f"job{checkpoint_suffix}.ckpt", spec["checkpoint_every"]
     )
     stats = convergence_ensemble(
-        resolve_protocol(spec["protocol"], spec["n"]),
-        _build_config(spec),
+        protocol,
+        config,
         spec["max_rounds"],
         make_rng(spec["seed"]),
         spec["replicas"],
         recorder=recorder,
         checkpoint=checkpoint,
         engine=spec.get("engine"),
-        scenario=spec.get("scenario"),
+        scenario=scenario,
     )
     return {
         "stats": dataclasses.asdict(stats),
@@ -185,17 +245,13 @@ def execute_job(spec: Dict[str, Any], jobdir, *, attempt: int = 1) -> Dict[str, 
             param = spec["sweep"]["param"]
             points = []
             resumed_any = False
-            for index, value in enumerate(spec["sweep"]["values"]):
-                # Each point runs on seed + index unless the sweep is over
-                # the seed itself.
-                point = dict(spec, seed=spec["seed"] + index)
-                point[param] = value
+            for index, point in enumerate(_points(spec)):
                 out = _run_ensemble(
                     point, jobdir, recorder=recorder,
                     checkpoint_suffix=f".point{index}",
                 )
                 resumed_any = resumed_any or out["resumed"]
-                points.append({param: value, "stats": out["stats"]})
+                points.append({param: point[param], "stats": out["stats"]})
             result["points"] = points
             result["resumed"] = resumed_any
     return result

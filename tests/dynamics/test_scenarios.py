@@ -244,10 +244,6 @@ class TestNullScenarioBitIdentity:
         )
         np.testing.assert_array_equal(resumed, baseline)
 
-    def test_lockstep_refuses_scenarios(self):
-        with pytest.raises(ValueError, match="lockstep"):
-            self._times("lockstep", "null")
-
 
 COMPOSITE = "churn:period=8,amplitude=4+lossy:rate=0.1+flip-source:at=12"
 
@@ -273,11 +269,17 @@ class TestComposedBitIdentity:
         assert (loop >= 12).all()
 
     def test_supervised_worker_invariance(self):
+        from repro.execution.supervisor import (
+            SupervisorConfig,
+            run_supervised_ensemble,
+        )
+
         def run(workers):
-            return simulate_ensemble(
+            return run_supervised_ensemble(
                 voter(1), self._config(), self.BUDGET, make_rng(self.SEED),
-                self.REPLICAS, workers=workers, shards=3, scenario=COMPOSITE,
-            )
+                self.REPLICAS, scenario=COMPOSITE,
+                supervisor=SupervisorConfig(workers=workers, shards=3),
+            ).times
 
         np.testing.assert_array_equal(run(1), run(2))
         np.testing.assert_array_equal(run(2), self._times("batched"))

@@ -23,7 +23,6 @@ from repro.execution.supervisor import (
     run_supervised_ensemble,
     shard_sizes,
     summarize_supervised,
-    supervisor_from,
 )
 from repro.protocols import voter
 from repro.telemetry import MetricsRecorder
@@ -325,20 +324,6 @@ class TestRecorder:
         assert counters["failed_shards"] == 0
 
 
-class TestSupervisorFrom:
-    def test_overlays_explicit_arguments(self):
-        base = SupervisorConfig(workers=2, shards=3, max_retries=5)
-        cfg = supervisor_from(base, workers=8, shards=None)
-        assert cfg.workers == 8
-        assert cfg.shards == 3
-        assert cfg.max_retries == 5
-
-    def test_defaults_from_nothing(self):
-        cfg = supervisor_from(None, None, 6)
-        assert cfg.workers == 1
-        assert cfg.shards == 6
-
-
 class TestValidation:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="workers"):
@@ -353,36 +338,16 @@ class TestValidation:
 
 
 class TestIntegration:
-    def test_simulate_ensemble_workers_delegates(self):
-        times = simulate_ensemble(
-            PROTOCOL, CONFIG, MAX_ROUNDS, make_rng(7), REPLICAS,
-            workers=2, shards=4,
-        )
-        assert np.array_equal(times, _run(workers=2).times, equal_nan=True)
-
-    def test_simulate_ensemble_warns_on_lost_shards(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "ensemble:after_round:10")
-        monkeypatch.setenv("REPRO_FAULT_SHARD", "1")
-        monkeypatch.setenv("REPRO_FAULT_STICKY", "1")
-        with pytest.warns(RuntimeWarning, match="shard"):
-            times = simulate_ensemble(
-                PROTOCOL, CONFIG, MAX_ROUNDS, make_rng(7), REPLICAS,
-                workers=2, shards=4,
-                supervisor=SupervisorConfig(
-                    workers=2, shards=4, max_retries=0, backoff_base_s=0.01
-                ),
-            )
-        assert times.size < REPLICAS
-
     def test_convergence_ensemble_supervised_stats(self):
-        stats = convergence_ensemble(
+        # The stats-level serial == supervised check.  Nothing is lost, so
+        # the loss accounting agrees too and the dataclasses are equal.
+        supervised = summarize_supervised(_run(workers=2), budget=MAX_ROUNDS)
+        serial = convergence_ensemble(
             PROTOCOL, CONFIG, MAX_ROUNDS, make_rng(7), REPLICAS,
-            workers=2, shards=4,
         )
-        reference = summarize_supervised(_run(workers=1), budget=MAX_ROUNDS)
-        assert stats == reference
-        assert stats.failed_shards == 0
-        assert stats.attempted_trials == REPLICAS
+        assert supervised.failed_shards == 0
+        assert supervised.attempted_trials == REPLICAS
+        assert supervised == serial
 
 
 class TestSummarizeTimesDegradation:

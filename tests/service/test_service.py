@@ -80,8 +80,26 @@ class TestValidateSpec:
             validate_spec({"kind": "sweep", "sweep": {"param": "n", "values": []}})
 
     def test_nonpositive_sizes_rejected(self):
+        for field in ("n", "checkpoint_every"):
+            with pytest.raises(SpecError, match="positive"):
+                validate_spec({field: 0})
         with pytest.raises(SpecError, match="positive"):
-            validate_spec({"n": 0})
+            validate_spec({"kind": "sweep",
+                           "sweep": {"param": "replicas", "values": [4, 0]}})
+
+    def test_non_numeric_fields_rejected(self):
+        for field in ("x0", "heartbeat_every_s"):
+            with pytest.raises(SpecError, match="non-numeric"):
+                validate_spec({field: "x"})
+
+    def test_every_sweep_point_must_build(self):
+        # Valid at the base n, but 20 zealots leave no free agent at n=16.
+        spec = {"kind": "sweep", "protocol": "voter", "n": 100,
+                "scenario": "zealots:s1=20",
+                "sweep": {"param": "n", "values": [100, 16]}}
+        with pytest.raises(SpecError, match="n=16"):
+            validate_spec(spec)
+        validate_spec(dict(spec, sweep={"param": "n", "values": [100, 40]}))
 
 
 class TestExitTaxonomy:
@@ -109,12 +127,16 @@ class TestLifecycle:
         assert stats["trials"] == 4
         assert finished.result["resumed"] is False
 
+    @staticmethod
+    def enqueue_unbuildable(service, max_retries, **fields):
+        # validate_spec refuses an unknown protocol, so enqueue past it, as
+        # a journal written before that check could hold.  The worker
+        # discovers the name is unknown and exits EXIT_ERROR every attempt.
+        spec = dict(validate_spec({**FAST, **fields}), protocol="no-such-protocol")
+        return service.store.submit(spec, max_retries=max_retries)
+
     def test_failing_job_lands_in_failed_with_taxonomy(self, service):
-        # validate_spec accepts the name; the worker discovers it is
-        # unknown and exits EXIT_ERROR every attempt.
-        job = service.submit(
-            {**FAST, "protocol": "no-such-protocol"}, max_retries=1
-        )
+        job = self.enqueue_unbuildable(service, max_retries=1)
         assert service.drain(timeout_s=60)
         failed = service.store.get(job.id)
         assert failed.state == "failed"
@@ -123,9 +145,7 @@ class TestLifecycle:
         assert failed.exit_name == "EXIT_ERROR"
 
     def test_requeue_backoff_is_seeded_and_journaled(self, service):
-        job = service.submit(
-            {**FAST, "protocol": "no-such-protocol", "seed": 11}, max_retries=2
-        )
+        job = self.enqueue_unbuildable(service, max_retries=2, seed=11)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             service.tick()
@@ -469,6 +489,21 @@ class TestHTTPAPI:
         with pytest.raises(urllib.error.HTTPError) as err:
             self.post(f"{url}/jobs", {"kind": "nope"})
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("field, value, cause", [
+        ("engine", "turbo", "unknown engine 'turbo'"),
+        ("scenario", "bogus", "unknown scenario 'bogus'"),
+        ("protocol", "nope", "unknown protocol 'nope'"),
+    ])
+    def test_unbuildable_field_is_a_400_and_queues_nothing(
+        self, api, field, value, cause
+    ):
+        service, url = api
+        with pytest.raises(urllib.error.HTTPError) as err:
+            self.post(f"{url}/jobs", {**FAST, field: value})
+        assert err.value.code == 400
+        assert cause in json.loads(err.value.read().decode())["error"]
+        assert service.store.jobs() == []
 
     def test_unknown_job_is_a_404(self, api):
         _, url = api
