@@ -44,6 +44,7 @@ import os
 import pathlib
 import signal
 import time
+import zlib
 from typing import List, Mapping, Optional
 
 from repro.analysis.report import (
@@ -99,6 +100,16 @@ def pick(full, smoke):
     seconds per experiment.
     """
     return smoke if smoke_mode() else full
+
+
+def case_seed(*label: object) -> int:
+    """A 32-bit seed from a stable digest of a case label.
+
+    Python's ``hash()`` is salted per process (``PYTHONHASHSEED``), so
+    seeding from it draws other streams on every run; ``zlib.crc32`` of the
+    label's ``repr`` is the same in every process.
+    """
+    return zlib.crc32(repr(label).encode())
 
 
 def emit(experiment_id: str, *blocks: object) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _harness import emit, pick, run_once
+from _harness import case_seed, emit, pick, run_once
 from repro.analysis.series import Table
 from repro.core.lower_bound import lower_bound_certificate
 from repro.core.roots import sign_profile
@@ -41,7 +41,7 @@ def _measure():
         profile = sign_profile(protocol)
         certificate = lower_bound_certificate(protocol)
         times = escape_time_ensemble(
-            protocol, certificate, N, BUDGET, make_rng(hash(rule) % 2**32), REPLICAS
+            protocol, certificate, N, BUDGET, make_rng(case_seed(rule)), REPLICAS
         )
         censored = int(np.isnan(times).sum())
         observed = np.where(np.isnan(times), BUDGET, times)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _harness import emit, pick, run_once
+from _harness import case_seed, emit, pick, run_once
 from repro.analysis.series import Table
 from repro.core.theory import minority_sqrt_sample_size
 from repro.dynamics.config import Configuration
@@ -54,7 +54,7 @@ def _measure():
                 config,
                 delta=delta,
                 rounds=ROUNDS,
-                rng=make_rng(hash((label, delta)) % 2**32),
+                rng=make_rng(case_seed(label, delta)),
                 burn_in=BURN_IN,
             )
             rows.append(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _harness import emit, pick, run_once
+from _harness import case_seed, emit, pick, run_once
 from repro.analysis.series import Table
 from repro.core.jump_bound import check_jump_bound, jump_failure_probability
 from repro.dynamics.rng import make_rng
@@ -42,7 +42,7 @@ def _measure():
     rows = []
     for protocol, c in CASES:
         check = check_jump_bound(
-            protocol, n=N, c=c, trials=TRIALS, rng=make_rng(hash((protocol.name, c)) % 2**32)
+            protocol, n=N, c=c, trials=TRIALS, rng=make_rng(case_seed(protocol.name, c))
         )
         rows.append(
             (

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _harness import emit, pick, run_once
+from _harness import case_seed, emit, pick, run_once
 from repro.analysis.series import Table
 from repro.core.theory import minority_sqrt_sample_size
 from repro.dynamics.config import adversarial_configurations
@@ -44,7 +44,7 @@ def _measure():
     for protocol in protocols:
         for config in panel:
             times = simulate_ensemble(
-                protocol, config, BUDGET, make_rng(hash((protocol.name, config.x0, config.z)) % 2**32), REPLICAS
+                protocol, config, BUDGET, make_rng(case_seed(protocol.name, config.x0, config.z)), REPLICAS
             )
             censored = int(np.isnan(times).sum())
             finite = times[~np.isnan(times)]

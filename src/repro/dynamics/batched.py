@@ -27,6 +27,11 @@ Because every function here is elementwise-deterministic, stepping one
 replica through :func:`step_count_keyed` and stepping it inside any batch
 through :func:`step_counts_keyed` produce identical bits — that is the
 loop-vs-batched bit-identity contract the engine selector is built on.
+A round of at most :data:`_FRONT_MAX` replicas runs through a scalar front
+instead: the same hash, inverse CDF and response arithmetic in plain
+Python per replica, bit for bit what the array kernel gives, at a fraction
+of the fixed cost of one NumPy round (docs/ENGINES.md, "Per-round fixed
+cost").
 
 Engine selection (consumed by :func:`repro.dynamics.run.simulate_ensemble`
 via its ``engine=`` keyword) lives here too: :data:`ENGINES` names the
@@ -46,12 +51,13 @@ array([5])
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+import math
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import special
 
-from repro.core.protocol import Protocol
+from repro.core.protocol import _FLOAT_FRONT_MAX_ELL, Protocol
 from repro.dynamics.config import validate_count, validate_counts
 from repro.dynamics.rng import SeedLike, _as_seed_sequence, _child_keys
 from repro.telemetry import NULL_RECORDER, Recorder, current_span
@@ -80,6 +86,19 @@ _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
 # Shift counts as uint64 scalars, built once rather than on every hash.
 _S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
+# The same constants as Python ints, for the scalar front.
+_M64 = (1 << 64) - 1
+_GOLDEN_INT, _MIX_1_INT, _MIX_2_INT = int(_GOLDEN), int(_MIX_1), int(_MIX_2)
+_UNIT = 2.0 ** -53
+_INT64 = np.dtype(np.int64)
+
+_FRONT_MAX = 6
+"""Rounds of at most this many replicas take the scalar front.
+
+Measured by a same-process sweep of both kernels over R = 1..16
+(docs/ENGINES.md, "Per-round fixed cost"): below it the scalar front's
+per-replica cost beats the array kernel's per-round dispatch.
+"""
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -179,6 +198,16 @@ def counter_uniforms(
     return (h >> _S11).astype(np.float64) * (2.0 ** -53)
 
 
+def _binomial_cdf(k, m, p):
+    """``P(Bin(m, p) <= k)``: where both inverse CDFs read the binomial CDF.
+
+    Called through the module's ``special`` at call time, on int64 arrays
+    by :func:`binomial_icdf` and on Python ints by :func:`_icdf`; both
+    resolve ``bdtr`` to its ``dld->d`` loop, so the two agree bit for bit.
+    """
+    return special.bdtr(k, m, p)
+
+
 def binomial_icdf(u: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Exact vectorized binomial inverse CDF: ``min {k : CDF(k; m, p) >= u}``.
 
@@ -230,14 +259,14 @@ def binomial_icdf(u: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     skew = (1.0 - 2.0 * p_eff) / np.maximum(sig, 1e-300)
     k = np.floor(mu + sig * (z + skew * (z * z - 1.0) / 6.0) + 0.5)
     k = np.minimum(np.maximum(k, 0.0), mf).astype(np.int64)
-    cdf = special.bdtr(k, m_eff, p_eff)
+    cdf = _binomial_cdf(k, m_eff, p_eff)
     # Gallop up on the (rare) elements whose guess undershot: doubling
     # steps bound the loop by O(log m) subset-sized bdtr calls.
     low = cdf < u_eff
     step = 1
     while low.any():
         k[low] = np.minimum(k[low] + step, m_eff[low])
-        cdf[low] = special.bdtr(k[low], m_eff[low], p_eff[low])
+        cdf[low] = _binomial_cdf(k[low], m_eff[low], p_eff[low])
         low = cdf < u_eff
         step *= 2
     # Minimality: k must be the *first* index at or above u.  pmf(k)
@@ -254,7 +283,7 @@ def binomial_icdf(u: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     maybe_high = (k > 0) & (cdf - pmf >= u_eff - 1e-9)
     while maybe_high.any():
         idx = np.nonzero(maybe_high)[0]
-        below = special.bdtr(k[idx] - 1, m_eff[idx], p_eff[idx])
+        below = _binomial_cdf(k[idx] - 1, m_eff[idx], p_eff[idx])
         drop = below >= u_eff[idx]
         k[idx[drop]] -= 1
         again = idx[drop]
@@ -262,12 +291,132 @@ def binomial_icdf(u: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
         maybe_high = np.zeros_like(maybe_high)
         if again.size:
             maybe_high[again] = (
-                special.bdtr(k[again] - 1, m_eff[again], p_eff[again])
+                _binomial_cdf(k[again] - 1, m_eff[again], p_eff[again])
                 >= u_eff[again]
             )
     if any_degenerate:
         k = np.where(degenerate, np.where((p >= 1.0) & (u > 0.0), m, 0), k)
     return k.reshape(shape)
+
+
+def _icdf(u: float, m: int, p: float) -> int:
+    """:func:`binomial_icdf` on one element, step for step, in plain Python.
+
+    The scalar front's inverse CDF: the same degenerate corners, the same
+    Cornish-Fisher guess, gallop and 1e-9 pmf filter, the same SciPy
+    functions on the same float64 values, so every draw is bit for bit the
+    array kernel's (the NaN path at ``m >= 2**31`` included).  The
+    minimality walk asks ``CDF(k - 1) >= u`` once per step where the array
+    asks it twice; the answers are the same.
+    """
+    if m <= 0 or p <= 0.0 or p >= 1.0 or u <= 0.0:
+        return m if p >= 1.0 and u > 0.0 else 0
+    mf = float(m)
+    mu = mf * p
+    sig = math.sqrt(mu * (1.0 - p))
+    z = float(special.ndtri(min(max(u, 1e-300), 1.0 - 2**-53)))
+    skew = (1.0 - 2.0 * p) / max(sig, 1e-300)
+    guess = math.floor(mu + sig * (z + skew * (z * z - 1.0) / 6.0) + 0.5)
+    k = int(min(max(guess, 0.0), mf))
+    cdf = _binomial_cdf(k, m, p)
+    step = 1
+    while cdf < u:
+        k = min(k + step, m)
+        cdf = _binomial_cdf(k, m, p)
+        step *= 2
+    if k > 0:
+        kf = float(k)
+        pmf = np.exp(
+            special.gammaln(mf + 1.0)
+            - special.gammaln(kf + 1.0)
+            - special.gammaln(mf - kf + 1.0)
+            + special.xlogy(kf, p)
+            + special.xlog1py(mf - kf, -p)
+        )
+        if cdf - pmf >= u - 1e-9:
+            while k > 0 and _binomial_cdf(k - 1, m, p) >= u:
+                k -= 1
+    return k
+
+
+def _mix_int(x: int) -> int:
+    """:func:`_mix` on one Python int (wrapping 64-bit arithmetic)."""
+    x = (x + _GOLDEN_INT) & _M64
+    x = ((x ^ (x >> 30)) * _MIX_1_INT) & _M64
+    x = ((x ^ (x >> 27)) * _MIX_2_INT) & _M64
+    return x ^ (x >> 31)
+
+
+def _responses(protocol: Protocol, transform, t: int, ps: list) -> list:
+    """``(P0, P1)`` per fraction in ``ps``, after the optional ``transform``.
+
+    Plain-Python float calls where the protocol's float front is plain
+    Python; past that sample size a float call is a one-element array, so
+    one array call over all of ``ps`` is cheaper.  Either way the bits are
+    the array kernel's: Eq. 4 has one operation order at every batch size.
+    """
+    if protocol.ell <= _FLOAT_FRONT_MAX_ELL:
+        out = [protocol.response_probabilities(p) for p in ps]
+        if transform is None:
+            return out
+        return [transform(protocol, t, p, p0, p1) for p, (p0, p1) in zip(ps, out)]
+    p = np.array(ps, dtype=np.float64)
+    p0, p1 = protocol.response_probabilities(p)
+    if transform is not None:
+        p0, p1 = transform(protocol, t, p, p0, p1)
+    return list(zip(np.asarray(p0).tolist(), np.asarray(p1).tolist()))
+
+
+def _front(
+    protocol: Protocol,
+    counts: list,
+    keys: np.ndarray,
+    t: int,
+    n: int,
+    pin1: int,
+    pin0: int,
+    pin1_next: int,
+    transform: Optional[Callable] = None,
+    delta: int = 0,
+    bias: float = 0.5,
+    depart: Optional[Callable] = None,
+) -> np.ndarray:
+    """One keyed round of a few replicas, elementwise in plain Python.
+
+    The scalar front of both keyed kernels: per replica it does what the
+    array round does, on Python ints and floats.  ``counts`` is the
+    (validated) list of counts during round ``t``; ``n`` the population
+    and ``pin1``/``pin0`` the pinned displays during it, ``pin1_next`` the
+    pinned ones after it.  The clean round is the null world: pins
+    ``(z, 1 - z, z)``, no ``transform``, ``delta == 0``.  A hostile world
+    adds the response ``transform``, churn arrivals (``delta > 0``, draw
+    2, each arrival a one w.p. ``bias``) or departures (``delta < 0``,
+    draw 3 through the scalar hypergeometric inverse CDF ``depart``).
+    Each ``(t, draw)`` counter is mixed once per round.
+    """
+    mix = _mix_int
+    base = (t * _GOLDEN_INT) & _M64
+    c0, c1 = mix(base), mix((base + 1) & _M64)
+    if delta:
+        c_churn = mix((base + (2 if delta > 0 else 3)) & _M64)
+        free = n - pin1 - pin0
+    nf = float(n)
+    responses = _responses(protocol, transform, t, [x / nf for x in counts])
+    out = []
+    for x, key, (p0, p1) in zip(
+        counts, np.asarray(keys, dtype=np.uint64).tolist(), responses
+    ):
+        free_ones = _icdf(
+            (mix(key ^ c0) >> 11) * _UNIT, x - pin1, p1
+        ) + _icdf((mix(key ^ c1) >> 11) * _UNIT, n - x - pin0, p0)
+        if delta:
+            u = (mix(key ^ c_churn) >> 11) * _UNIT
+            if delta > 0:
+                free_ones += _icdf(u, delta, bias)
+            else:
+                free_ones -= depart(u, free_ones, free - free_ones, -delta)
+        out.append(pin1_next + free_ones)
+    return np.array(out, dtype=np.int64)
 
 
 def binomial_pair(
@@ -308,7 +457,7 @@ def _step_keyed(
     keys: np.ndarray,
     t: int,
 ) -> np.ndarray:
-    """One keyed lock-step round; shared by the scalar and batched fronts."""
+    """One keyed lock-step round on arrays (the loop and batched engines)."""
     p0, p1 = protocol.response_probabilities(counts / n)
     m1 = counts - z
     m0 = n - counts - (1 - z)
@@ -329,7 +478,9 @@ def step_counts_keyed(
     The batched engine's kernel: ``counts[j]`` steps using only
     ``(keys[j], t)``, so the update is a pure elementwise function —
     slicing replicas out (or running them through :func:`step_count_keyed`
-    one at a time) reproduces identical bits.  With an enabled
+    one at a time) reproduces identical bits.  A round of at most
+    :data:`_FRONT_MAX` replicas runs through the scalar front, which gives
+    the array kernel's bits at a lower fixed cost.  With an enabled
     ``recorder``, one ``batch_steps`` tick and ``replica_steps +=
     len(counts)`` land on the innermost open telemetry span (mirroring
     :func:`repro.dynamics.engine.step_counts_batch`).
@@ -345,8 +496,14 @@ def step_counts_keyed(
     True
     """
     counts = np.asarray(counts)
-    validate_counts(n, z, counts)
-    out = _step_keyed(protocol, n, z, counts, keys, t)
+    if counts.ndim == 1 and counts.size <= _FRONT_MAX and counts.dtype is _INT64:
+        xs = counts.tolist()
+        if xs and (min(xs) < z or max(xs) > n - 1 + z):
+            validate_counts(n, z, counts)
+        out = _front(protocol, xs, keys, t, n, z, 1 - z, z)
+    else:
+        validate_counts(n, z, counts)
+        out = _step_keyed(protocol, n, z, counts, keys, t)
     if recorder.enabled:
         span = current_span(recorder)
         span.incr("batch_steps")

@@ -379,64 +379,84 @@ def simulate_ensemble(
         )
     final_round = start_round
     armed = faults.armed()
+    # The active replicas ride in compact arrays: their indices, counts and
+    # keys.  ``counts`` is brought up to date only where a replica retires
+    # and before a checkpoint; the record's mean count comes from running
+    # integer totals, which equal ``counts.mean()`` bit for bit below 2**53.
+    live = np.flatnonzero(active)
+    live_counts = counts[live]
+    live_keys = keys[live]
+    retired_total = int(counts.sum()) - int(live_counts.sum())
     with span(recorder, "ensemble") as timing:
         for t in range(start_round + 1, max_rounds + 1):
-            if not active.any():
+            if not live.size:
                 break
             if scenario is not None:
                 if engine == "batched":
-                    counts[active] = scenario_step_counts(
-                        protocol, scenario, config.z, counts[active],
-                        keys[active], t, recorder,
+                    live_counts = scenario_step_counts(
+                        protocol, scenario, config.z, live_counts, live_keys, t,
+                        recorder,
                     )
                 else:  # loop
-                    for j in np.nonzero(active)[0]:
-                        counts[j] = scenario_step_count(
-                            protocol, scenario, config.z, int(counts[j]),
-                            keys[j], t, recorder,
+                    for j in range(live.size):
+                        live_counts[j] = scenario_step_count(
+                            protocol, scenario, config.z, int(live_counts[j]),
+                            live_keys[j], t, recorder,
                         )
                 if t >= settle:
-                    round_target = scenario_target(scenario, t, config.z)
-                    newly_done = active & (counts == round_target)
+                    done = live_counts == scenario_target(scenario, t, config.z)
                 else:
-                    newly_done = np.zeros(replicas, dtype=bool)
+                    done = None
             else:
                 if engine == "batched":
-                    counts[active] = step_counts_keyed(
-                        protocol, config.n, config.z, counts[active],
-                        keys[active], t, recorder,
+                    live_counts = step_counts_keyed(
+                        protocol, config.n, config.z, live_counts, live_keys, t,
+                        recorder,
                     )
                 else:  # loop
-                    for j in np.nonzero(active)[0]:
-                        counts[j] = step_count_keyed(
-                            protocol, config.n, config.z, int(counts[j]),
-                            keys[j], t, recorder,
+                    for j in range(live.size):
+                        live_counts[j] = step_count_keyed(
+                            protocol, config.n, config.z, int(live_counts[j]),
+                            live_keys[j], t, recorder,
                         )
-                newly_done = active & (counts == target)
-            times[newly_done] = float(t)
-            active &= ~newly_done
+                done = live_counts == target
+            retiring = 0 if done is None else int(np.count_nonzero(done))
+            if retiring:
+                retired = live[done]
+                times[retired] = float(t)
+                counts[retired] = live_counts[done]
+                retired_total += int(live_counts[done].sum())
+                keep = ~done
+                live, live_counts = live[keep], live_counts[keep]
+                live_keys = live_keys[keep]
             final_round = t
             if recording:
-                extra = {
-                    "active": int(active.sum()),
-                    "newly_converged": int(newly_done.sum()),
-                }
+                extra = {"active": int(live.size), "newly_converged": retiring}
                 if scenario is not None:
                     if t in scenario_events:
                         extra["scenario_event"] = scenario_events[t]
                     population = scenario.population(t)
                     if population != config.n:
                         extra["population"] = population
-                recorder.round_recorded(t, float(counts.mean()), extra)
+                total = retired_total + int(live_counts.sum())
+                if total < 2**53:
+                    mean = total / replicas
+                else:  # float partial sums could round: take NumPy's mean
+                    counts[live] = live_counts
+                    mean = float(counts.mean())
+                recorder.round_recorded(t, mean, extra)
             if armed:
                 # One visit per replica that converged this round, so
                 # REPRO_FAULT=ensemble:after_replica:k kills the process
                 # the moment the k-th replica completes.
-                for _ in range(int(newly_done.sum())):
+                for _ in range(retiring):
                     faults.crashpoint("ensemble:after_replica")
             if checkpoint is not None:
                 stop = checkpoint.should_stop()
                 if stop or checkpoint.due(t):
+                    counts[live] = live_counts
+                    active = np.zeros(replicas, dtype=bool)
+                    active[live] = True
                     checkpoint.save(
                         "simulate_ensemble", t, rng,
                         _ensemble_payload(counts, times, active),

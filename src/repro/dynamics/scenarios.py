@@ -60,7 +60,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import special
 
-from repro.dynamics.batched import binomial_icdf, binomial_pair, counter_uniforms
+from repro.dynamics.batched import (
+    _FRONT_MAX,
+    _front,
+    binomial_icdf,
+    binomial_pair,
+    counter_uniforms,
+)
 from repro.telemetry import NULL_RECORDER, Recorder, current_span
 
 __all__ = [
@@ -807,9 +813,56 @@ def hypergeometric_icdf(
     return k.reshape(shape)
 
 
+def _hypergeometric_scalar(u: float, ngood: int, nbad: int, draws: int) -> int:
+    """:func:`hypergeometric_icdf` on one element, step for step.
+
+    The scalar front's departure draw: the same checks and errors, the same
+    pmf recurrence on the same float64 values, so it returns the array
+    function's ``k`` bit for bit.
+    """
+    if draws < 0 or ngood < 0 or nbad < 0:
+        raise ValueError("hypergeometric parameters must be non-negative")
+    if draws > ngood + nbad:
+        raise ValueError("cannot draw more agents than the population holds")
+    k = max(0, draws - nbad)
+    k_high = min(draws, ngood)
+    log_pmf = (
+        _log_choose(float(ngood), float(k))
+        + _log_choose(float(nbad), float(draws - k))
+        - _log_choose(float(ngood + nbad), float(draws))
+    )
+    pmf = float(np.exp(log_pmf))
+    cdf = pmf
+    while not (cdf >= u or k >= k_high):
+        ki = float(k)
+        numer = (ngood - ki) * (draws - ki)
+        denom = (ki + 1.0) * (nbad - draws + ki + 1.0)
+        pmf *= numer / denom
+        k += 1
+        cdf += pmf
+    return k
+
+
 # ----------------------------------------------------------------------
 # The scenario step kernels
 # ----------------------------------------------------------------------
+
+
+def _check_world(
+    t: int, n_prev: int, n_next: int, pins_prev: int, pins_next: int
+) -> None:
+    """Round ``t``'s world checks: a constant pinned total, enough free agents."""
+    if pins_prev != pins_next:
+        raise ValueError(
+            f"pinned totals must be constant over time, got {pins_prev} at "
+            f"round {t - 1} vs {pins_next} at round {t}"
+        )
+    free = n_prev - pins_prev
+    if n_prev - n_next > free:
+        raise ValueError(
+            f"churn removes {n_prev - n_next} agents at round {t} but only "
+            f"{free} free agents exist"
+        )
 
 
 def _scenario_step(
@@ -832,11 +885,7 @@ def _scenario_step(
     pin1_prev, pin0_prev = scenario.pinned(t - 1, z)
     pin1_next, pin0_next = scenario.pinned(t, z)
     pins_prev = pin1_prev + pin0_prev
-    if pins_prev != pin1_next + pin0_next:
-        raise ValueError(
-            f"pinned totals must be constant over time, got {pins_prev} at "
-            f"round {t - 1} vs {pin1_next + pin0_next} at round {t}"
-        )
+    _check_world(t, n_prev, n_next, pins_prev, pin1_next + pin0_next)
 
     p = counts / n_prev
     p0, p1 = protocol.response_probabilities(p)
@@ -855,11 +904,6 @@ def _scenario_step(
         free_ones = free_ones + arrivals
     elif delta < 0:
         free = n_prev - pins_prev
-        if -delta > free:
-            raise ValueError(
-                f"churn removes {-delta} agents at round {t} but only "
-                f"{free} free agents exist"
-            )
         departed_ones = hypergeometric_icdf(
             counter_uniforms(keys, t, 3),
             free_ones,
@@ -885,6 +929,25 @@ def _validate_scenario_counts(
         )
 
 
+def _scenario_front(protocol, scenario, z, counts, keys, t) -> np.ndarray:
+    """One hostile-world round of a few replicas through the scalar front."""
+    n_prev = scenario.population(t - 1)
+    n_next = scenario.population(t)
+    pin1_prev, pin0_prev = scenario.pinned(t - 1, z)
+    pin1_next, pin0_next = scenario.pinned(t, z)
+    xs = counts.tolist()
+    if xs and (min(xs) < pin1_prev or max(xs) > n_prev - pin0_prev):
+        _validate_scenario_counts(scenario, counts, t, z)
+    _check_world(t, n_prev, n_next, pin1_prev + pin0_prev, pin1_next + pin0_next)
+    delta = n_next - n_prev
+    return _front(
+        protocol, xs, keys, t, n_prev, pin1_prev, pin0_prev, pin1_next,
+        transform=scenario.transform_responses, delta=delta,
+        bias=scenario.arrival_bias(t) if delta > 0 else 0.5,
+        depart=_hypergeometric_scalar,
+    )
+
+
 def scenario_step_counts(
     protocol,
     scenario: Scenario,
@@ -894,10 +957,18 @@ def scenario_step_counts(
     t: int,
     recorder: Recorder = NULL_RECORDER,
 ) -> np.ndarray:
-    """Advance a batch of replicas one hostile-world round (batched engine)."""
+    """Advance a batch of replicas one hostile-world round (batched engine).
+
+    A round of at most :data:`~repro.dynamics.batched._FRONT_MAX`
+    replicas runs through the scalar front, with the world's values
+    computed once for the round; it gives the array kernel's bits.
+    """
     counts = np.asarray(counts, dtype=np.int64)
-    _validate_scenario_counts(scenario, counts, t, z)
-    result = _scenario_step(protocol, scenario, z, counts, keys, t)
+    if counts.ndim == 1 and counts.size <= _FRONT_MAX:
+        result = _scenario_front(protocol, scenario, z, counts, keys, t)
+    else:
+        _validate_scenario_counts(scenario, counts, t, z)
+        result = _scenario_step(protocol, scenario, z, counts, keys, t)
     if recorder.enabled:
         timing = current_span(recorder)
         timing.incr("batch_steps")

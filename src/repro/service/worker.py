@@ -43,6 +43,12 @@ RESULT_NAME = "result.json"
 
 _KINDS = ("run", "ensemble", "sweep")
 _SWEEP_PARAMS = ("n", "z", "x0", "replicas", "max_rounds", "seed")
+# The fields of docs/SERVICE.md's "Job specs" table: anything else is refused.
+_SPEC_KEYS = frozenset((
+    "kind", "protocol", "n", "z", "x0", "replicas", "max_rounds", "seed",
+    "engine", "scenario", "checkpoint_every", "trace", "heartbeat_every_s",
+    "sweep",
+))
 
 
 class SpecError(ValueError):
@@ -54,14 +60,18 @@ def validate_spec(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     Returns a plain-JSON dict with every field the worker needs, defaults
     applied.  Raises :class:`SpecError` with a message suitable for a 400
-    response on anything malformed — validation happens at submit time so
-    the queue never holds a job that is doomed to fail parsing.  That
+    response on anything malformed or unknown — validation happens at
+    submit time so the queue never holds a job that is doomed to fail
+    parsing (or that would run a mistyped field with its default).  That
     includes building what the worker builds: the engine, and the
     protocol, configuration and scenario at every point a sweep runs
     (protocols and scenario defaults depend on ``n``).
     """
     if not isinstance(payload, dict):
         raise SpecError("job spec must be a JSON object")
+    unknown = sorted(set(payload) - _SPEC_KEYS)
+    if unknown:
+        raise SpecError(f"unknown job spec keys {unknown}")
     kind = payload.get("kind", "ensemble")
     if kind not in _KINDS:
         raise SpecError(f"unknown job kind {kind!r} (expected one of {_KINDS})")

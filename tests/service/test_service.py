@@ -494,6 +494,7 @@ class TestHTTPAPI:
         ("engine", "turbo", "unknown engine 'turbo'"),
         ("scenario", "bogus", "unknown scenario 'bogus'"),
         ("protocol", "nope", "unknown protocol 'nope'"),
+        ("replica", 1000, "replica"),
     ])
     def test_unbuildable_field_is_a_400_and_queues_nothing(
         self, api, field, value, cause
