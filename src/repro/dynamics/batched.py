@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy import special
 
-from repro.core.protocol import _FLOAT_FRONT_MAX_ELL, Protocol
+from repro.core.protocol import Protocol
 from repro.dynamics.config import validate_count, validate_counts
 from repro.dynamics.rng import SeedLike, _as_seed_sequence, _child_keys
 from repro.telemetry import NULL_RECORDER, Recorder, current_span
@@ -347,26 +347,6 @@ def _mix_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _responses(protocol: Protocol, transform, t: int, ps: list) -> list:
-    """``(P0, P1)`` per fraction in ``ps``, after the optional ``transform``.
-
-    Plain-Python float calls where the protocol's float front is plain
-    Python; past that sample size a float call is a one-element array, so
-    one array call over all of ``ps`` is cheaper.  Either way the bits are
-    the array kernel's: Eq. 4 has one operation order at every batch size.
-    """
-    if protocol.ell <= _FLOAT_FRONT_MAX_ELL:
-        out = [protocol.response_probabilities(p) for p in ps]
-        if transform is None:
-            return out
-        return [transform(protocol, t, p, p0, p1) for p, (p0, p1) in zip(ps, out)]
-    p = np.array(ps, dtype=np.float64)
-    p0, p1 = protocol.response_probabilities(p)
-    if transform is not None:
-        p0, p1 = transform(protocol, t, p, p0, p1)
-    return list(zip(np.asarray(p0).tolist(), np.asarray(p1).tolist()))
-
-
 def _front(
     protocol: Protocol,
     counts: list,
@@ -394,6 +374,7 @@ def _front(
     draw 3 through the scalar hypergeometric inverse CDF ``depart``).
     Each ``(t, draw)`` counter is mixed once per round.
     """
+    t = int(t)
     mix = _mix_int
     base = (t * _GOLDEN_INT) & _M64
     c0, c1 = mix(base), mix((base + 1) & _M64)
@@ -401,11 +382,13 @@ def _front(
         c_churn = mix((base + (2 if delta > 0 else 3)) & _M64)
         free = n - pin1 - pin0
     nf = float(n)
-    responses = _responses(protocol, transform, t, [x / nf for x in counts])
     out = []
-    for x, key, (p0, p1) in zip(
-        counts, np.asarray(keys, dtype=np.uint64).tolist(), responses
-    ):
+    keys = np.asarray(keys, dtype=np.uint64).tolist()
+    for x, key in zip(counts, keys, strict=True):
+        p = x / nf
+        p0, p1 = protocol.response_probabilities(p)
+        if transform is not None:
+            p0, p1 = transform(protocol, t, p, p0, p1)
         free_ones = _icdf(
             (mix(key ^ c0) >> 11) * _UNIT, x - pin1, p1
         ) + _icdf((mix(key ^ c1) >> 11) * _UNIT, n - x - pin0, p0)

@@ -284,6 +284,24 @@ def test_out_of_range_count_raises_the_array_message():
     )
 
 
+def test_front_takes_numpy_rounds_and_refuses_mismatched_keys():
+    counts = np.array([5, 90, 150] + [7] * (_FRONT_MAX - 2), dtype=np.int64)
+    keys = replica_keys(4, counts.size)
+    scenario = make_scenario(HOSTILE, 200)
+    for t in (np.int64(9), 9):
+        full = step_counts_keyed(voter(1), 200, 1, counts, keys, t)
+        part = step_counts_keyed(voter(1), 200, 1, counts[:3], keys[:3], t)
+        assert part.tolist() == full[:3].tolist()
+        full = scenario_step_counts(voter(1), scenario, 1, counts, keys, t)
+        part = scenario_step_counts(voter(1), scenario, 1, counts[:3], keys[:3], t)
+        assert part.tolist() == full[:3].tolist()
+    for r in (3, _FRONT_MAX + 1):  # the front, then the array kernel
+        with pytest.raises(ValueError):
+            step_counts_keyed(voter(1), 200, 1, counts[:r], keys[: r - 1], 3)
+        with pytest.raises(ValueError):
+            scenario_step_counts(voter(1), scenario, 1, counts[:r], keys[: r - 1], 3)
+
+
 # ----------------------------------------------------------------------
 # Scalar vs array inverse CDFs over the corner grids
 # ----------------------------------------------------------------------
